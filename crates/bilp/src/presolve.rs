@@ -43,11 +43,21 @@
 //! objective's *constant* term, so objective values reported against the
 //! reduced model equal objective values of the expanded assignment against
 //! the original model; no post-hoc adjustment is needed.
+//!
+//! # Data layout
+//!
+//! The passes share one flat structure, `Csr`: an offsets array over the
+//! `2n` literal codes plus one items array, filled by counting sort in
+//! constraint order. It serves as the occurrence index and as the
+//! implication and exclusion graphs. Constraints are rewritten in place,
+//! so the passes allocate per pass rather than per constraint (only an
+//! at-most that actually changes is rebuilt by `tighten_at_most`), and no
+//! pass depends on hashing or tree order.
 
 use crate::model::{LinExpr, Lit, Model, Var};
 use crate::normalize::{normalize, NormConstraint};
 use crate::solve::Assignment;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 const UNASSIGNED: i8 = -1;
@@ -66,12 +76,12 @@ pub struct PresolveConfig {
     /// Propagation-step budget for failed-literal probing; `0` disables
     /// probing entirely.
     pub probe_budget: u64,
-    /// Models with fewer variables than this skip probing outright.
-    /// On easy instances the probe pass costs as much wall time as the
-    /// whole solve (BENCH_presolve: ~100–200 ms of `presolve_ms` against
-    /// comparable totals) while the search finds the same fixings in its
-    /// first few conflicts; small models therefore go straight to the
-    /// engine. Set to `0` to probe regardless of size.
+    /// Models with fewer variables than this skip probing outright: on
+    /// small models the search finds the same fixings in its first few
+    /// conflicts, so probing would only add wall time. On the Table 2
+    /// models of `perfbench` probing takes about 4 ms per call, an eighth
+    /// of presolve (DESIGN.md §8 has the per-pass table). Set to `0` to
+    /// probe regardless of size.
     pub probe_min_vars: usize,
     /// Absolute deadline shared with the solver: presolve time counts
     /// against the solve budget, and every pass polls this.
@@ -284,10 +294,140 @@ impl Presolved {
 /// A working constraint; literals are rewritten in place as substitutions
 /// and fixings land, so stored literals are current as of the last
 /// simplification sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq, Eq)]
 enum Con {
     Clause(Vec<Lit>),
     AtMost(Vec<(u64, Lit)>, u64),
+}
+
+/// Flat per-key lists, the one occurrence structure every pass shares:
+/// `items[start[k]..start[k + 1]]` belongs to key `k`, where keys are
+/// literal codes (`2n` of them). [`Csr::build`] fills it by counting sort,
+/// so each list keeps the order in which its items were produced — for
+/// occurrence lists, constraint-index order — and building costs two
+/// linear sweeps and two allocations whatever the model size.
+struct Csr<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> Csr<T> {
+    /// `each(push)` must call `push(key, item)` for the same sequence of
+    /// pairs on both of its two calls (one counts, one fills).
+    fn build(num_keys: usize, mut each: impl FnMut(&mut dyn FnMut(usize, T))) -> Self {
+        let mut start = vec![0u32; num_keys + 1];
+        each(&mut |k, _| start[k + 1] += 1);
+        for k in 0..num_keys {
+            start[k + 1] += start[k];
+        }
+        let mut items = vec![T::default(); start[num_keys] as usize];
+        // `start[k]` is bucket k's write cursor; once filled it holds the
+        // bucket's end, which is the next bucket's start.
+        each(&mut |k, x| {
+            items[start[k] as usize] = x;
+            start[k] += 1;
+        });
+        start.copy_within(0..num_keys, 1);
+        start[0] = 0;
+        Csr { start, items }
+    }
+
+    fn get(&self, k: usize) -> &[T] {
+        &self.items[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+}
+
+impl<T: Copy + Default + Ord> Csr<T> {
+    /// Sorts every list and drops repeated items, compacting in place.
+    fn sort_dedup(&mut self) {
+        let num_keys = self.start.len() - 1;
+        let mut write = 0usize;
+        let mut begin = 0usize;
+        for k in 0..num_keys {
+            let end = self.start[k + 1] as usize;
+            self.items[begin..end].sort_unstable();
+            self.start[k] = write as u32;
+            for r in begin..end {
+                if r == begin || self.items[r] != self.items[r - 1] {
+                    self.items[write] = self.items[r];
+                    write += 1;
+                }
+            }
+            begin = end;
+        }
+        self.start[num_keys] = write as u32;
+        self.items.truncate(write);
+    }
+}
+
+/// The occurrence index: for each literal code, the ids of the live
+/// constraints containing that literal, in constraint-index order.
+fn occurrences(num_vars: usize, cons: &[Option<Con>], clauses_only: bool) -> Csr<u32> {
+    Csr::build(2 * num_vars, |push| {
+        for (i, con) in cons.iter().enumerate() {
+            match con {
+                Some(Con::Clause(lits)) => lits.iter().for_each(|l| push(l.code(), i as u32)),
+                Some(Con::AtMost(terms, _)) if !clauses_only => {
+                    terms.iter().for_each(|(_, l)| push(l.code(), i as u32))
+                }
+                _ => {}
+            }
+        }
+    })
+}
+
+/// Calls `f` on the merge of two ascending lists, in ascending order.
+fn merged(a: &[u32], b: &[u32], mut f: impl FnMut(u32)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] <= b[j] {
+            f(a[i]);
+            i += 1;
+        } else {
+            f(b[j]);
+            j += 1;
+        }
+    }
+    a[i..].iter().chain(&b[j..]).for_each(|&x| f(x));
+}
+
+/// FNV-1a over a constraint's kind, bound and literals, for duplicate
+/// detection.
+fn con_hash(con: &Con) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    match con {
+        Con::Clause(lits) => {
+            mix(0);
+            lits.iter().for_each(|l| mix(l.code() as u64));
+        }
+        Con::AtMost(terms, bound) => {
+            mix(1);
+            mix(*bound);
+            for &(a, l) in terms {
+                mix(a);
+                mix(l.code() as u64);
+            }
+        }
+    }
+    h
+}
+
+/// Calls `f` on the common items of two ascending, duplicate-free lists,
+/// in ascending order.
+fn intersection(a: &[u32], b: &[u32], mut f: impl FnMut(u32)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                f(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
 }
 
 struct Work {
@@ -338,21 +478,39 @@ impl Work {
     /// Resolves a literal to its equivalence-class representative, with
     /// path compression.
     fn find(&mut self, l: Lit) -> Lit {
-        let mut cur = l;
-        let mut chain: Vec<Lit> = Vec::new();
+        let mut root = l;
         loop {
-            let r = self.rep[cur.var().index()];
-            let mapped = if cur.is_negative() { !r } else { r };
-            if mapped == cur {
+            let r = self.rep[root.var().index()];
+            let mapped = if root.is_negative() { !r } else { r };
+            if mapped == root {
                 break;
             }
-            chain.push(cur);
-            cur = mapped;
+            root = mapped;
         }
-        for c in chain {
-            self.rep[c.var().index()] = if c.is_negative() { !cur } else { cur };
+        let mut cur = l;
+        while cur != root {
+            let r = self.rep[cur.var().index()];
+            let next = if cur.is_negative() { !r } else { r };
+            self.rep[cur.var().index()] = if cur.is_negative() { !root } else { root };
+            cur = next;
         }
-        cur
+        root
+    }
+
+    /// Whether the literals are unassigned class representatives over
+    /// strictly increasing variables: the form [`Work::simplify_con`]
+    /// leaves a constraint in, so it has nothing to rewrite. A variable
+    /// represents its class when `rep` maps it to itself; this check
+    /// leaves the union-find untouched.
+    fn canonical(&self, mut lits: impl Iterator<Item = Lit>) -> bool {
+        let mut prev: Option<Var> = None;
+        lits.all(|l| {
+            let v = l.var();
+            let live = self.rep[v.index()] == v.lit() && self.value[v.index()] == UNASSIGNED;
+            let ok = live && prev.is_none_or(|p| p < v);
+            prev = Some(v);
+            ok
+        })
     }
 
     fn enqueue(&mut self, l: Lit) {
@@ -427,18 +585,33 @@ impl Work {
 
     /// Rewrites one constraint under the current substitution/assignment.
     /// `None` means the constraint was satisfied or replaced by units.
+    ///
+    /// A canonical constraint (see [`Work::canonical`]) comes back as it
+    /// is. Every stored at-most is the output of `tighten_at_most`, which
+    /// is idempotent, so skipping the call there changes nothing.
     fn simplify_con(&mut self, con: Con, changed: &mut bool) -> Result<Option<Con>, Conflict> {
         match con {
-            Con::Clause(lits) => {
-                let mut out: Vec<Lit> = Vec::with_capacity(lits.len());
+            Con::Clause(lits) if lits.len() >= 2 && self.canonical(lits.iter().copied()) => {
+                Ok(Some(Con::Clause(lits)))
+            }
+            Con::AtMost(terms, bound) if self.canonical(terms.iter().map(|&(_, l)| l)) => {
+                Ok(Some(Con::AtMost(terms, bound)))
+            }
+            Con::Clause(mut lits) => {
+                // Rewritten in place: survivors are compacted to the front.
+                let mut kept = 0;
                 let mut any = false;
-                for l in lits {
+                for k in 0..lits.len() {
+                    let l = lits[k];
                     let r = self.find(l);
                     if r != l {
                         any = true;
                     }
                     match self.value[r.var().index()] {
-                        UNASSIGNED => out.push(r),
+                        UNASSIGNED => {
+                            lits[kept] = r;
+                            kept += 1;
+                        }
                         v => {
                             any = true;
                             if (v == 1) != r.is_negative() {
@@ -451,19 +624,20 @@ impl Work {
                         }
                     }
                 }
-                out.sort_unstable();
-                out.dedup();
+                lits.truncate(kept);
+                lits.sort_unstable();
+                lits.dedup();
                 // Codes of l and ¬l are adjacent, so a tautology shows up
                 // as consecutive entries after sorting.
-                if out.windows(2).any(|w| w[0].var() == w[1].var()) {
+                if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
                     *changed = true;
                     self.stats.removed_constraints += 1;
                     return Ok(None);
                 }
-                match out.len() {
+                match lits.len() {
                     0 => Err(Conflict),
                     1 => {
-                        self.enqueue(out[0]);
+                        self.enqueue(lits[0]);
                         *changed = true;
                         Ok(None)
                     }
@@ -471,51 +645,70 @@ impl Work {
                         if any {
                             *changed = true;
                         }
-                        Ok(Some(Con::Clause(out)))
+                        Ok(Some(Con::Clause(lits)))
                     }
                 }
             }
-            Con::AtMost(terms, bound) => {
-                // Merge per-variable, tracking coefficients on both
-                // polarities: a·x + b·¬x = min(a,b) + |a-b|·(dominant lit).
-                let mut per_var: BTreeMap<Var, (u64, u64)> = BTreeMap::new();
+            Con::AtMost(mut terms, bound) => {
+                // Resolve every term, dropping fixed ones, then merge per
+                // variable in ascending variable order, tracking
+                // coefficients on both polarities:
+                // a·x + b·¬x = min(a,b) + |a-b|·(dominant lit).
                 let mut bound = i128::from(bound);
                 let mut any = false;
-                for (a, l) in &terms {
-                    let r = self.find(*l);
-                    if r != *l {
+                let mut live = 0;
+                for k in 0..terms.len() {
+                    let (a, l) = terms[k];
+                    let r = self.find(l);
+                    if r != l {
                         any = true;
                     }
                     match self.value[r.var().index()] {
                         UNASSIGNED => {
-                            let e = per_var.entry(r.var()).or_insert((0, 0));
-                            if r.is_negative() {
-                                e.1 += a;
-                            } else {
-                                e.0 += a;
-                            }
+                            terms[live] = (a, r);
+                            live += 1;
                         }
                         v => {
                             any = true;
                             if (v == 1) != r.is_negative() {
-                                bound -= i128::from(*a);
+                                bound -= i128::from(a);
                             }
                         }
                     }
                 }
-                let mut kept: Vec<(u64, Lit)> = Vec::with_capacity(per_var.len());
-                for (v, (pos, neg)) in per_var {
+                terms.truncate(live);
+                terms.sort_unstable_by_key(|&(_, l)| l.var());
+                let mut kept = 0;
+                let mut k = 0;
+                while k < terms.len() {
+                    let v = terms[k].1.var();
+                    let (mut pos, mut neg) = (0u64, 0u64);
+                    while k < terms.len() && terms[k].1.var() == v {
+                        let (a, l) = terms[k];
+                        if l.is_negative() {
+                            neg += a;
+                        } else {
+                            pos += a;
+                        }
+                        k += 1;
+                    }
                     let base = pos.min(neg);
                     if base > 0 {
                         any = true;
                     }
                     bound -= i128::from(base);
-                    match pos.cmp(&neg) {
-                        std::cmp::Ordering::Greater => kept.push((pos - neg, Lit::positive(v))),
-                        std::cmp::Ordering::Less => kept.push((neg - pos, Lit::negative(v))),
-                        std::cmp::Ordering::Equal => {}
+                    let dominant = match pos.cmp(&neg) {
+                        std::cmp::Ordering::Greater => Some((pos - neg, Lit::positive(v))),
+                        std::cmp::Ordering::Less => Some((neg - pos, Lit::negative(v))),
+                        std::cmp::Ordering::Equal => None,
+                    };
+                    if let Some(t) = dominant {
+                        terms[kept] = t;
+                        kept += 1;
                     }
                 }
+                terms.truncate(kept);
+                let kept = terms;
                 if bound < 0 {
                     return Err(Conflict);
                 }
@@ -582,41 +775,31 @@ impl Work {
             if self.time_up() {
                 return Ok(changed);
             }
-            // Occurrence lists keyed by the variables as currently stored;
-            // valid until the next union (none happen inside this loop).
-            let mut occ: HashMap<Var, Vec<u32>> = HashMap::new();
-            for (i, con) in self.cons.iter().enumerate() {
-                let Some(con) = con else { continue };
-                let mut push = |v: Var| occ.entry(v).or_default().push(i as u32);
-                match con {
-                    Con::Clause(lits) => lits.iter().for_each(|l| push(l.var())),
-                    Con::AtMost(terms, _) => terms.iter().for_each(|(_, l)| push(l.var())),
-                }
-            }
+            // Occurrences of the literals as currently stored; valid until
+            // the next union (none happen inside this loop).
+            let occ = occurrences(self.value.len(), &self.cons, false);
             let mut dirty: VecDeque<u32> = VecDeque::new();
-            let mut in_dirty: HashSet<u32> = HashSet::new();
-            let mark = |v: Var,
-                        occ: &HashMap<Var, Vec<u32>>,
-                        dirty: &mut VecDeque<u32>,
-                        in_dirty: &mut HashSet<u32>| {
-                if let Some(list) = occ.get(&v) {
-                    for &i in list {
-                        if in_dirty.insert(i) {
-                            dirty.push_back(i);
-                        }
+            let mut queued = vec![false; self.cons.len()];
+            // Queues every constraint mentioning `v`, in constraint order.
+            let mark = |v: usize, dirty: &mut VecDeque<u32>, queued: &mut [bool]| {
+                merged(occ.get(2 * v), occ.get(2 * v + 1), |i| {
+                    if !queued[i as usize] {
+                        queued[i as usize] = true;
+                        dirty.push_back(i);
                     }
-                }
+                })
             };
             // Everything assigned since the occurrence lists were built is
             // unknown, so seed from all currently-assigned variables once,
             // then incrementally from fresh units.
             for v in 0..self.value.len() {
                 if self.value[v] != UNASSIGNED {
-                    mark(Var(v as u32), &occ, &mut dirty, &mut in_dirty);
+                    mark(v, &mut dirty, &mut queued);
                 }
             }
+            let mut fresh: Vec<Lit> = Vec::new();
             while let Some(i) = dirty.pop_front() {
-                in_dirty.remove(&i);
+                queued[i as usize] = false;
                 if self.time_up() {
                     break;
                 }
@@ -629,10 +812,11 @@ impl Work {
                 }
                 // Fresh units dirty their occurrence lists (under the
                 // old variable naming, which units do not change).
-                let fresh: Vec<Lit> = self.queue.iter().copied().collect();
+                fresh.clear();
+                fresh.extend(self.queue.iter().copied());
                 self.drain_queue()?;
-                for l in fresh {
-                    mark(l.var(), &occ, &mut dirty, &mut in_dirty);
+                for l in &fresh {
+                    mark(l.var().index(), &mut dirty, &mut queued);
                 }
             }
         }
@@ -645,28 +829,29 @@ impl Work {
     /// contradiction.
     fn equiv_pass(&mut self) -> Result<bool, Conflict> {
         let n = self.value.len();
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); 2 * n];
-        let mut any_edge = false;
-        for con in self.cons.iter().flatten() {
-            if let Con::Clause(lits) = con {
-                if let [a, b] = lits.as_slice() {
-                    adj[(!*a).code()].push(b.code() as u32);
-                    adj[(!*b).code()].push(a.code() as u32);
-                    any_edge = true;
+        let adj: Csr<u32> = Csr::build(2 * n, |push| {
+            for con in self.cons.iter().flatten() {
+                if let Con::Clause(lits) = con {
+                    if let [a, b] = lits.as_slice() {
+                        push((!*a).code(), b.code() as u32);
+                        push((!*b).code(), a.code() as u32);
+                    }
                 }
             }
-        }
-        if !any_edge {
+        });
+        if adj.items.is_empty() {
             return Ok(false);
         }
-        // Iterative Tarjan SCC.
+        // Iterative Tarjan SCC. Components of two or more literals are
+        // collected flat, each sorted: `members[ends[c - 1]..ends[c]]`.
         const UNVISITED: u32 = u32::MAX;
         let mut index = vec![UNVISITED; 2 * n];
         let mut low = vec![0u32; 2 * n];
         let mut on_stack = vec![false; 2 * n];
         let mut stack: Vec<u32> = Vec::new();
         let mut next_index = 0u32;
-        let mut sccs: Vec<Vec<u32>> = Vec::new();
+        let mut members: Vec<u32> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
         let mut call: Vec<(u32, u32)> = Vec::new(); // (node, edge cursor)
         for s in 0..2 * n {
             if index[s] != UNVISITED {
@@ -682,7 +867,7 @@ impl Work {
                     stack.push(v as u32);
                     on_stack[v] = true;
                 }
-                if let Some(&w) = adj[v].get(cursor) {
+                if let Some(&w) = adj.get(v).get(cursor) {
                     frame.1 += 1;
                     let w = w as usize;
                     if index[w] == UNVISITED {
@@ -692,18 +877,20 @@ impl Work {
                     }
                 } else {
                     if low[v] == index[v] {
-                        let mut comp: Vec<u32> = Vec::new();
+                        let base = members.len();
                         loop {
                             let w = stack.pop().expect("SCC stack holds the root");
                             on_stack[w as usize] = false;
-                            comp.push(w);
+                            members.push(w);
                             if w as usize == v {
                                 break;
                             }
                         }
-                        if comp.len() > 1 {
-                            comp.sort_unstable();
-                            sccs.push(comp);
+                        if members.len() - base > 1 {
+                            members[base..].sort_unstable();
+                            ends.push(members.len());
+                        } else {
+                            members.truncate(base);
                         }
                     }
                     call.pop();
@@ -715,7 +902,10 @@ impl Work {
             }
         }
         let mut changed = false;
-        for comp in sccs {
+        let mut begin = 0;
+        for end in ends {
+            let comp = &members[begin..end];
+            begin = end;
             // Both polarities of one variable in the same component means
             // x → ¬x and ¬x → x: infeasible.
             if comp.windows(2).any(|w| w[0] >> 1 == w[1] >> 1) {
@@ -729,25 +919,31 @@ impl Work {
         Ok(changed)
     }
 
-    /// Removes syntactic duplicates (clauses and at-mosts).
+    /// Removes syntactic duplicates (clauses and at-mosts), keeping the
+    /// first occurrence of each.
     fn dedup_pass(&mut self) -> bool {
-        let mut seen: HashSet<Vec<u64>> = HashSet::new();
+        // Sorting by (hash, index) puts each group of equal constraints
+        // together, first occurrence first.
+        let mut keyed: Vec<(u64, u32)> = self
+            .cons
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.as_ref().map(|c| (con_hash(c), i as u32)))
+            .collect();
+        keyed.sort_unstable();
         let mut changed = false;
-        for slot in &mut self.cons {
-            let Some(con) = slot else { continue };
-            let key: Vec<u64> = match con {
-                Con::Clause(lits) => std::iter::once(0u64)
-                    .chain(lits.iter().map(|l| l.code() as u64))
-                    .collect(),
-                Con::AtMost(terms, bound) => std::iter::once(1u64)
-                    .chain(std::iter::once(*bound))
-                    .chain(terms.iter().flat_map(|&(a, l)| [a, l.code() as u64]))
-                    .collect(),
-            };
-            if !seen.insert(key) {
-                *slot = None;
-                self.stats.removed_constraints += 1;
-                changed = true;
+        for run in keyed.chunk_by(|x, y| x.0 == y.0) {
+            for (k, &(_, j)) in run.iter().enumerate().skip(1) {
+                let cons = &self.cons;
+                // A removed earlier entry is `None` and matches nothing.
+                let duplicate = run[..k]
+                    .iter()
+                    .any(|&(_, i)| cons[i as usize] == cons[j as usize]);
+                if duplicate {
+                    self.cons[j as usize] = None;
+                    self.stats.removed_constraints += 1;
+                    changed = true;
+                }
             }
         }
         changed
@@ -756,54 +952,42 @@ impl Work {
     /// Budgeted clause-subsumes-clause elimination via occurrence lists on
     /// the rarest literal.
     fn subsume_pass(&mut self) -> bool {
-        let mut occ: HashMap<Lit, Vec<u32>> = HashMap::new();
-        for (i, con) in self.cons.iter().enumerate() {
-            if let Some(Con::Clause(lits)) = con {
-                for l in lits {
-                    occ.entry(*l).or_default().push(i as u32);
-                }
-            }
-        }
+        let occ = occurrences(self.value.len(), &self.cons, true);
         let mut budget = SUBSUME_BUDGET;
         let mut changed = false;
         for i in 0..self.cons.len() {
             if budget == 0 || self.time_up() {
                 break;
             }
-            let Some(Con::Clause(sub)) = self.cons[i].clone() else {
+            if !matches!(self.cons[i], Some(Con::Clause(_))) {
                 continue;
+            }
+            // Lifted out while its candidates are scanned (so it never
+            // meets itself), and put back afterwards.
+            let Some(Con::Clause(sub)) = self.cons[i].take() else {
+                unreachable!("checked to be a clause")
             };
-            let Some(rarest) = sub
-                .iter()
-                .min_by_key(|l| occ.get(l).map_or(0, Vec::len))
-                .copied()
-            else {
-                continue;
-            };
-            let Some(candidates) = occ.get(&rarest) else {
-                continue;
-            };
-            for &j in candidates {
-                let j = j as usize;
-                if j == i {
-                    continue;
-                }
-                let Some(Con::Clause(sup)) = &self.cons[j] else {
-                    continue;
-                };
-                if sup.len() < sub.len() {
-                    continue;
-                }
-                budget = budget.saturating_sub((sub.len() + sup.len()) as u64);
-                if is_subset(&sub, sup) {
-                    self.cons[j] = None;
-                    self.stats.removed_constraints += 1;
-                    changed = true;
-                }
-                if budget == 0 {
-                    break;
+            if let Some(rarest) = sub.iter().min_by_key(|l| occ.get(l.code()).len()) {
+                for &j in occ.get(rarest.code()) {
+                    let j = j as usize;
+                    let Some(Con::Clause(sup)) = &self.cons[j] else {
+                        continue;
+                    };
+                    if sup.len() < sub.len() {
+                        continue;
+                    }
+                    budget = budget.saturating_sub((sub.len() + sup.len()) as u64);
+                    if is_subset(&sub, sup) {
+                        self.cons[j] = None;
+                        self.stats.removed_constraints += 1;
+                        changed = true;
+                    }
+                    if budget == 0 {
+                        break;
+                    }
                 }
             }
+            self.cons[i] = Some(Con::Clause(sub));
         }
         changed
     }
@@ -811,63 +995,92 @@ impl Work {
     /// Grows at-most-one cliques from pairwise exclusions and replaces the
     /// covered binary clauses.
     fn clique_pass(&mut self) -> bool {
-        let mut adj: BTreeMap<Lit, BTreeSet<Lit>> = BTreeMap::new();
-        let edge = |a: Lit, b: Lit, adj: &mut BTreeMap<Lit, BTreeSet<Lit>>| {
-            adj.entry(a).or_default().insert(b);
-            adj.entry(b).or_default().insert(a);
-        };
-        // (idx, x, y): clause #idx forbids x ∧ y.
-        let mut binaries: Vec<(usize, Lit, Lit)> = Vec::new();
-        for (i, con) in self.cons.iter().enumerate() {
-            match con {
-                Some(Con::Clause(lits)) => {
-                    if let [a, b] = lits.as_slice() {
-                        edge(!*a, !*b, &mut adj);
-                        binaries.push((i, !*a, !*b));
-                    }
-                }
-                Some(Con::AtMost(terms, 1))
-                    if terms.len() <= CLIQUE_SEED_LIMIT && terms.iter().all(|&(a, _)| a == 1) =>
-                {
-                    for x in 0..terms.len() {
-                        for y in x + 1..terms.len() {
-                            edge(terms[x].1, terms[y].1, &mut adj);
+        let n2 = 2 * self.value.len();
+        // Exclusion graph over literal codes, each list ascending.
+        let mut adj: Csr<u32> = Csr::build(n2, |push| {
+            let mut edge = |a: Lit, b: Lit| {
+                push(a.code(), b.code() as u32);
+                push(b.code(), a.code() as u32);
+            };
+            for con in self.cons.iter().flatten() {
+                match con {
+                    Con::Clause(lits) => {
+                        if let [a, b] = lits.as_slice() {
+                            edge(!*a, !*b);
                         }
                     }
+                    Con::AtMost(terms, 1)
+                        if terms.len() <= CLIQUE_SEED_LIMIT
+                            && terms.iter().all(|&(a, _)| a == 1) =>
+                    {
+                        for x in 0..terms.len() {
+                            for y in x + 1..terms.len() {
+                                edge(terms[x].1, terms[y].1);
+                            }
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
-        }
-        let mut emitted: Vec<BTreeSet<Lit>> = Vec::new();
+        });
+        adj.sort_dedup();
+        let adjacent = |x: u32, y: u32| adj.get(x as usize).binary_search(&y).is_ok();
+        // Per literal, a list threaded through `links` of the emitted
+        // cliques (by constraint index) that contain it, so a coverage
+        // check walks only those. Allocated with the first clique.
+        const END: u32 = u32::MAX;
+        let mut member_of: Vec<u32> = Vec::new();
+        let mut links: Vec<(u32, u32)> = Vec::new(); // (constraint, next link)
+        let mut clique: Vec<u32> = Vec::new();
         let mut changed = false;
-        for (idx, a, b) in binaries {
+        for idx in 0..self.cons.len() {
+            let Some(Con::Clause(lits)) = &self.cons[idx] else {
+                continue;
+            };
+            let [x, y] = lits.as_slice() else {
+                continue;
+            };
+            // The clause forbids a ∧ b.
+            let (a, b) = ((!*x).code() as u32, (!*y).code() as u32);
             if self.time_up() {
                 break;
             }
-            if emitted.iter().any(|s| s.contains(&a) && s.contains(&b)) {
+            let mut link = member_of.get(a as usize).copied().unwrap_or(END);
+            let mut covered = false;
+            while link != END && !covered {
+                let (k, next) = links[link as usize];
+                if let Some(Con::AtMost(terms, _)) = &self.cons[k as usize] {
+                    covered = terms.binary_search_by_key(&b, |&(_, l)| l.0).is_ok();
+                }
+                link = next;
+            }
+            if covered {
                 self.cons[idx] = None;
                 self.stats.removed_constraints += 1;
                 changed = true;
                 continue;
             }
-            let (Some(na), Some(nb)) = (adj.get(&a), adj.get(&b)) else {
-                continue;
-            };
-            let mut clique: BTreeSet<Lit> = [a, b].into_iter().collect();
-            for &c in na.intersection(nb) {
-                if clique
-                    .iter()
-                    .all(|m| adj.get(&c).is_some_and(|n| n.contains(m)))
-                {
-                    clique.insert(c);
+            clique.clear();
+            clique.extend([a, b]);
+            intersection(adj.get(a as usize), adj.get(b as usize), |c| {
+                if c != a && c != b && clique.iter().all(|&m| adjacent(c, m)) {
+                    clique.push(c);
                 }
-            }
+            });
             if clique.len() >= 3 {
+                clique.sort_unstable();
+                if member_of.is_empty() {
+                    member_of = vec![END; n2];
+                }
+                let k = self.cons.len() as u32;
+                for &l in &clique {
+                    links.push((k, member_of[l as usize]));
+                    member_of[l as usize] = (links.len() - 1) as u32;
+                }
                 self.cons.push(Some(Con::AtMost(
-                    clique.iter().map(|&l| (1, l)).collect(),
+                    clique.iter().map(|&l| (1, Lit(l))).collect(),
                     1,
                 )));
-                emitted.push(clique);
                 self.stats.cliques += 1;
                 self.cons[idx] = None;
                 self.stats.removed_constraints += 1;
@@ -895,16 +1108,19 @@ fn is_subset(sub: &[Lit], sup: &[Lit]) -> bool {
 }
 
 /// Failed-literal probing: a counter-based unit propagator with an undo
-/// trail, run over a snapshot of the simplified constraints.
-struct Probe {
-    clauses: Vec<Vec<Lit>>,
-    amts: Vec<(Vec<(u64, Lit)>, u64)>,
-    /// Per literal code: `(constraint id, coefficient)`; clause ids are
-    /// `0..clauses.len()`, at-most ids follow. Coefficient is 0 for
-    /// clauses.
-    occ: Vec<Vec<(u32, u64)>>,
+/// trail, run over the simplified constraints in place.
+struct Probe<'a> {
+    cons: &'a [Option<Con>],
+    /// Probe constraint id → index into `cons`: clauses get ids
+    /// `0..num_clauses`, at-mosts follow.
+    ids: Vec<u32>,
+    num_clauses: usize,
+    /// Per literal code: `(probe id, coefficient)`, clauses before
+    /// at-mosts; the coefficient is 0 for clauses.
+    occ: Csr<(u32, u64)>,
     val: Vec<i8>,
     trail: Vec<Lit>,
+    queue: VecDeque<Lit>,
     cl_false: Vec<u32>,
     cl_true: Vec<u32>,
     am_sum: Vec<u64>,
@@ -914,42 +1130,66 @@ struct Probe {
     polls: u32,
 }
 
-impl Probe {
-    fn new(work: &Work, budget: u64) -> Self {
-        let n = work.value.len();
-        let mut clauses = Vec::new();
-        let mut amts = Vec::new();
-        for con in work.cons.iter().flatten() {
-            match con {
-                Con::Clause(lits) => clauses.push(lits.clone()),
-                Con::AtMost(terms, bound) => amts.push((terms.clone(), *bound)),
+impl<'a> Probe<'a> {
+    fn new(cons: &'a [Option<Con>], value: &[i8], deadline: Option<Instant>, budget: u64) -> Self {
+        let live = || {
+            cons.iter()
+                .enumerate()
+                .filter_map(|(i, c)| Some((i, c.as_ref()?)))
+        };
+        let mut ids: Vec<u32> = live()
+            .filter(|(_, c)| matches!(c, Con::Clause(_)))
+            .map(|(i, _)| i as u32)
+            .collect();
+        let num_clauses = ids.len();
+        ids.extend(
+            live()
+                .filter(|(_, c)| matches!(c, Con::AtMost(..)))
+                .map(|(i, _)| i as u32),
+        );
+        let occ = Csr::build(2 * value.len(), |push| {
+            for (p, &i) in ids.iter().enumerate() {
+                match &cons[i as usize] {
+                    Some(Con::Clause(lits)) => {
+                        lits.iter().for_each(|l| push(l.code(), (p as u32, 0)))
+                    }
+                    Some(Con::AtMost(terms, _)) => terms
+                        .iter()
+                        .for_each(|&(a, l)| push(l.code(), (p as u32, a))),
+                    None => unreachable!("probe ids name live constraints"),
+                }
             }
-        }
-        let nc = clauses.len();
-        let mut occ: Vec<Vec<(u32, u64)>> = vec![Vec::new(); 2 * n];
-        for (i, c) in clauses.iter().enumerate() {
-            for l in c {
-                occ[l.code()].push((i as u32, 0));
-            }
-        }
-        for (i, (terms, _)) in amts.iter().enumerate() {
-            for (a, l) in terms {
-                occ[l.code()].push(((nc + i) as u32, *a));
-            }
-        }
+        });
+        let num_at_most = ids.len() - num_clauses;
         Probe {
-            cl_false: vec![0; clauses.len()],
-            cl_true: vec![0; clauses.len()],
-            am_sum: vec![0; amts.len()],
-            clauses,
-            amts,
+            cons,
+            ids,
+            num_clauses,
             occ,
-            val: work.value.clone(),
+            val: value.to_vec(),
             trail: Vec::new(),
+            queue: VecDeque::new(),
+            cl_false: vec![0; num_clauses],
+            cl_true: vec![0; num_clauses],
+            am_sum: vec![0; num_at_most],
             steps: 0,
             budget,
-            deadline: work.deadline,
+            deadline,
             polls: 0,
+        }
+    }
+
+    fn clause(&self, c: usize) -> &'a [Lit] {
+        match &self.cons[self.ids[c] as usize] {
+            Some(Con::Clause(lits)) => lits,
+            _ => unreachable!("clause ids name clauses"),
+        }
+    }
+
+    fn at_most(&self, c: usize) -> (&'a [(u64, Lit)], u64) {
+        match &self.cons[self.ids[c] as usize] {
+            Some(Con::AtMost(terms, bound)) => (terms, *bound),
+            _ => unreachable!("at-most ids name at-mosts"),
         }
     }
 
@@ -967,9 +1207,9 @@ impl Probe {
     /// or exhausted budget takes effect only *between* literals), so the
     /// trail always matches the counters exactly and `undo` is safe.
     fn run(&mut self, l: Lit) -> bool {
-        let mut queue: VecDeque<Lit> = VecDeque::new();
-        queue.push_back(l);
-        while let Some(l) = queue.pop_front() {
+        self.queue.clear();
+        self.queue.push_back(l);
+        while let Some(l) = self.queue.pop_front() {
             match self.lit_true(l) {
                 Some(true) => continue,
                 Some(false) => return false,
@@ -987,11 +1227,11 @@ impl Probe {
             }
             self.val[l.var().index()] = if l.is_negative() { 0 } else { 1 };
             self.trail.push(l);
-            let nc = self.clauses.len();
+            let nc = self.num_clauses;
             let mut conflict = false;
             // The literal is now true.
-            for k in 0..self.occ[l.code()].len() {
-                let (c, coeff) = self.occ[l.code()][k];
+            for k in 0..self.occ.get(l.code()).len() {
+                let (c, coeff) = self.occ.get(l.code())[k];
                 let c = c as usize;
                 self.steps += 1;
                 if c < nc {
@@ -999,14 +1239,14 @@ impl Probe {
                 } else {
                     let a = c - nc;
                     self.am_sum[a] += coeff;
-                    let (terms, bound) = &self.amts[a];
-                    if self.am_sum[a] > *bound {
+                    let (terms, bound) = self.at_most(c);
+                    if self.am_sum[a] > bound {
                         conflict = true;
                     } else if !conflict {
-                        let slack = *bound - self.am_sum[a];
+                        let slack = bound - self.am_sum[a];
                         for &(w, t) in terms {
                             if w > slack && self.lit_true(t).is_none() {
-                                queue.push_back(!t);
+                                self.queue.push_back(!t);
                             }
                         }
                         self.steps += terms.len() as u64;
@@ -1016,8 +1256,8 @@ impl Probe {
             // Its negation is now false. (A false literal in an at-most
             // only loosens it; only clauses can propagate here.)
             let neg = (!l).code();
-            for k in 0..self.occ[neg].len() {
-                let (c, _) = self.occ[neg][k];
+            for k in 0..self.occ.get(neg).len() {
+                let (c, _) = self.occ.get(neg)[k];
                 let c = c as usize;
                 self.steps += 1;
                 if c < nc {
@@ -1025,17 +1265,15 @@ impl Probe {
                     if conflict || self.cl_true[c] > 0 {
                         continue;
                     }
-                    let len = self.clauses[c].len() as u32;
+                    let lits = self.clause(c);
+                    let len = lits.len() as u32;
                     if self.cl_false[c] == len {
                         conflict = true;
                     } else if self.cl_false[c] == len - 1 {
-                        if let Some(&u) = self.clauses[c]
-                            .iter()
-                            .find(|t| self.lit_true(**t).is_none())
-                        {
-                            queue.push_back(u);
+                        if let Some(&u) = lits.iter().find(|t| self.lit_true(**t).is_none()) {
+                            self.queue.push_back(u);
                         }
-                        self.steps += len as u64;
+                        self.steps += u64::from(len);
                     }
                 }
             }
@@ -1047,11 +1285,11 @@ impl Probe {
     }
 
     fn undo(&mut self, mark: usize) {
+        let nc = self.num_clauses;
         while self.trail.len() > mark {
             let l = self.trail.pop().expect("trail above mark");
             self.val[l.var().index()] = UNASSIGNED;
-            let nc = self.clauses.len();
-            for &(c, coeff) in &self.occ[l.code()] {
+            for &(c, coeff) in self.occ.get(l.code()) {
                 let c = c as usize;
                 if c < nc {
                     self.cl_true[c] -= 1;
@@ -1059,7 +1297,7 @@ impl Probe {
                     self.am_sum[c - nc] -= coeff;
                 }
             }
-            for &(c, _) in &self.occ[(!l).code()] {
+            for &(c, _) in self.occ.get((!l).code()) {
                 let c = c as usize;
                 if c < nc {
                     self.cl_false[c] -= 1;
@@ -1072,15 +1310,17 @@ impl Probe {
 /// Runs the probing phase. Returns the root-fixed literals, or `Err` when
 /// both polarities of some variable fail (the model is infeasible).
 fn probe_phase(work: &mut Work, budget: u64) -> Result<Vec<Lit>, Conflict> {
-    let mut probe = Probe::new(work, budget);
+    let mut probe = Probe::new(&work.cons, &work.value, work.deadline, budget);
     // Highest-occurrence variables first: their assignments propagate the
     // furthest, so a failed literal prunes the most.
     let n = work.value.len();
     let mut order: Vec<(usize, usize)> = (0..n)
         .filter(|&v| probe.val[v] == UNASSIGNED)
         .map(|v| {
-            let occ = probe.occ[2 * v].len() + probe.occ[2 * v + 1].len();
-            (occ, v)
+            (
+                probe.occ.get(2 * v).len() + probe.occ.get(2 * v + 1).len(),
+                v,
+            )
         })
         .filter(|&(occ, _)| occ > 0)
         .collect();
@@ -1110,8 +1350,7 @@ fn probe_phase(work: &mut Work, budget: u64) -> Result<Vec<Lit>, Conflict> {
                 if !probe.run(!lit) {
                     return Err(Conflict);
                 }
-                let new_roots: Vec<Lit> = probe.trail[fixed.len()..].to_vec();
-                fixed.extend(new_roots);
+                fixed.extend_from_slice(&probe.trail[fixed.len()..]);
             }
         }
     }
@@ -1215,11 +1454,21 @@ pub fn presolve(model: &Model, config: &PresolveConfig) -> Presolved {
 /// of the reduced [`Model`].
 fn emit(model: &Model, work: &mut Work) -> Result<(Model, Reconstruction), Conflict> {
     let n = model.num_vars();
-    // Flush any pending units before counting.
+    // Flush pending units, then rewrite every surviving constraint under
+    // the final substitution: the main loop may have stopped mid-pass (its
+    // deadline expired) or right after equivalence merging (`MAX_ROUNDS`),
+    // leaving fixed or aliased literals behind, and the renumbering below
+    // maps only unassigned class representatives. The deadline no longer
+    // applies here. When the loop reached its fixpoint every constraint is
+    // already canonical and the sweep changes nothing.
+    work.deadline = None;
+    work.out_of_time = false;
+    work.propagate()?;
+    work.simplify_all()?;
     work.propagate()?;
 
-    // Substituted objective, keyed by representative variable.
-    let mut obj_terms: BTreeMap<Var, i64> = BTreeMap::new();
+    // Substituted objective, by representative variable; 0 means absent.
+    let mut obj_terms: Vec<i64> = vec![0; n];
     let mut obj_constant: i64 = 0;
     let has_objective = model.objective().is_some();
     if let Some(obj) = model.objective() {
@@ -1231,9 +1480,9 @@ fn emit(model: &Model, work: &mut Work) -> Result<(Model, Reconstruction), Confl
                     if r.is_negative() {
                         // c·v = c·(1 - rep) = c - c·rep
                         obj_constant += c;
-                        *obj_terms.entry(r.var()).or_insert(0) -= c;
+                        obj_terms[r.var().index()] -= c;
                     } else {
-                        *obj_terms.entry(r.var()).or_insert(0) += c;
+                        obj_terms[r.var().index()] += c;
                     }
                 }
                 val => {
@@ -1244,7 +1493,6 @@ fn emit(model: &Model, work: &mut Work) -> Result<(Model, Reconstruction), Confl
                 }
             }
         }
-        obj_terms.retain(|_, c| *c != 0);
     }
 
     // Representative variables that still appear in some constraint.
@@ -1274,12 +1522,11 @@ fn emit(model: &Model, work: &mut Work) -> Result<(Model, Reconstruction), Confl
         let is_rep = work.find(var.lit()) == var.lit();
         if is_rep && work.value[v] == UNASSIGNED && !occ {
             free_fixed[v] = true;
-            let coeff = obj_terms.get(&var).copied().unwrap_or(0);
+            let coeff = std::mem::take(&mut obj_terms[v]);
             work.value[v] = i8::from(coeff < 0);
-            if coeff != 0 && coeff < 0 {
+            if coeff < 0 {
                 obj_constant += coeff;
             }
-            obj_terms.remove(&var);
         }
     }
 
@@ -1326,8 +1573,10 @@ fn emit(model: &Model, work: &mut Work) -> Result<(Model, Reconstruction), Confl
 
     if has_objective {
         let mut expr = LinExpr::new();
-        for (v, c) in &obj_terms {
-            expr.add_term(*c, new_var[v.index()].expect("objective var survives"));
+        for (v, &c) in obj_terms.iter().enumerate() {
+            if c != 0 {
+                expr.add_term(c, new_var[v].expect("objective var survives"));
+            }
         }
         expr.add_constant(obj_constant);
         reduced.minimize(expr);
@@ -1365,6 +1614,7 @@ fn emit(model: &Model, work: &mut Work) -> Result<(Model, Reconstruction), Confl
 mod tests {
     use super::*;
     use crate::model::Model;
+    use crate::solve::{Solver, SolverConfig};
 
     fn reduced(p: &Presolved) -> (&Model, &Reconstruction, &PresolveStats) {
         match p {
@@ -1559,5 +1809,68 @@ mod tests {
         // equivalent: expanding any solution must satisfy the original.
         assert_eq!(recon.num_original_vars(), 20);
         assert!(red.num_vars() <= 20);
+    }
+
+    /// Solves the reduced model without presolve and checks that the
+    /// expanded solution satisfies the original.
+    fn assert_expands_soundly(original: &Model, p: &Presolved) {
+        let (red, recon, _) = reduced(p);
+        let out = Solver::with_config(SolverConfig {
+            presolve: false,
+            ..SolverConfig::default()
+        })
+        .solve(red);
+        let solution = out.solution().expect("the reduced model is satisfiable");
+        let full = recon.expand(solution);
+        assert_eq!(original.check(|v| full.value(v)), Ok(()));
+    }
+
+    #[test]
+    fn deadline_expiring_mid_propagation_still_emits_a_sound_model() {
+        // Fixing x dirties all 2,999 clauses; the 1,024th deadline poll is
+        // the first to read the clock, so propagation stops with about
+        // 2,000 of them still mentioning the fixed x.
+        let mut m = Model::new();
+        let x = m.new_var();
+        let ys = m.new_vars(3000);
+        m.fix(x, true);
+        for w in ys.windows(2) {
+            m.add_clause([!x.lit(), w[0].lit(), w[1].lit()]);
+        }
+        let cfg = PresolveConfig {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            ..PresolveConfig::default()
+        };
+        let p = presolve(&m, &cfg);
+        let (red, _, _) = reduced(&p);
+        assert_eq!(red.constraints().len(), 2999);
+        assert!(red.constraints().iter().all(|c| c.expr.terms().len() == 2));
+        assert_expands_soundly(&m, &p);
+    }
+
+    #[test]
+    fn round_cap_right_after_merging_still_emits_a_sound_model() {
+        // Level k's ternary clauses turn into x_k ≡ x_{k-1} and
+        // y_k ≡ x_{k-1} only once x_{k-1} ≡ y_{k-1} has been merged, so each
+        // round merges exactly one level. With more levels than
+        // `MAX_ROUNDS`, the loop stops right after a merge and leaves the
+        // next level's clauses naming aliased variables.
+        let mut m = Model::new();
+        let levels = MAX_ROUNDS as usize + 4;
+        let x = m.new_vars(levels);
+        let y = m.new_vars(levels);
+        m.add_implies(x[0].lit(), y[0].lit());
+        m.add_implies(y[0].lit(), x[0].lit());
+        for k in 1..levels {
+            let (px, py) = (x[k - 1].lit(), y[k - 1].lit());
+            for z in [x[k].lit(), y[k].lit()] {
+                m.add_clause([!z, px, py]);
+                m.add_clause([z, !px, !py]);
+            }
+        }
+        let p = presolve(&m, &PresolveConfig::default());
+        let (_, _, stats) = reduced(&p);
+        assert_eq!(stats.rounds, MAX_ROUNDS, "{stats:?}");
+        assert_expands_soundly(&m, &p);
     }
 }
