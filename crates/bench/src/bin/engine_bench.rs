@@ -8,14 +8,15 @@
 //!              [--baseline <path>] [--smoke] [config/kernel ...]
 //! ```
 //!
-//! Each instance runs the same logical task as the *incremental* arm of
-//! `incremental_bench`'s timed phase — the optimising minimum-II ladder
-//! to its first incumbent (`objective_stop = i64::MAX`) — with
-//! certification on, so any infeasible II verdict is replayed through
-//! the proof logger and re-derived by the independent RUP checker.
-//! Because the task is identical and the instance keys (`config/kernel`),
-//! `symbols` and `wall_seconds` fields match `BENCH_incremental.json`,
-//! that file doubles as the *baseline*: point `--baseline` at a
+//! Each instance runs the task whose timings the *incremental* arm of
+//! `BENCH_incremental.json` records (EXPERIMENTS.md A5) — the optimising
+//! minimum-II ladder to its first incumbent (`objective_stop =
+//! i64::MAX`) — with certification on, so any infeasible II verdict is
+//! replayed through the proof logger and re-derived by the independent
+//! RUP checker. Because the task is identical and the instance keys
+//! (`config/kernel`), `symbols` and `wall_seconds` fields match
+//! `BENCH_incremental.json`, that file doubles as the *baseline*: point
+//! `--baseline` at a
 //! `BENCH_incremental.json` produced by an older engine build and the
 //! summary reports the per-instance and geomean wall speedup of the
 //! current engine over it, plus engine-level throughput (propagations
@@ -35,7 +36,7 @@ use cgra_mapper::{map_min_ii, MapperOptions, MinIiReport};
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// The BENCH_incremental 12-cell ladder (see `incremental_bench`).
+/// The BENCH_incremental 12-cell ladder (see EXPERIMENTS.md A5).
 const DEFAULT_SUBSET: [(&str, &str); 12] = [
     ("hetero-orth", "accum"),
     ("hetero-orth", "mac"),
@@ -138,7 +139,6 @@ fn main() {
         let report = best_of(reps, || {
             let options = MapperOptions {
                 optimize: true,
-                incremental: true,
                 certify: true,
                 time_limit: Some(time_limit),
                 objective_stop: Some(i64::MAX),

@@ -20,8 +20,7 @@
 //! server; see EXPERIMENTS.md for the scaling rationale). Cells that
 //! exceed the budget print as `T`, exactly as in the paper.
 //!
-//! `--no-presolve` disables the `bilp` presolve pipeline (the env var
-//! `BILP_PRESOLVE=0` does the same for any binary). `--smoke` runs a
+//! `--no-presolve` disables the `bilp` presolve pipeline. `--smoke` runs a
 //! 2-benchmark x 1-architecture subset and exits nonzero if any cell
 //! disagrees with the paper — a fast CI gate, not an experiment.
 //!

@@ -533,31 +533,6 @@ impl EngineStats {
             self.lbd_total as f64 / self.learnt_clauses as f64
         }
     }
-
-    /// Adds `other`'s additive counters into `self`, so the stats of a
-    /// multi-solver run (e.g. a feasibility solve followed by a separate
-    /// optimisation solve) can be reported as one total. The
-    /// database-occupancy snapshots (`kept_core`/`kept_mid`/`kept_local`
-    /// describe the *most recent* reduction, not a running sum) keep
-    /// `self`'s values.
-    pub fn absorb(&mut self, other: &EngineStats) {
-        self.conflicts += other.conflicts;
-        self.decisions += other.decisions;
-        self.propagations += other.propagations;
-        self.restarts += other.restarts;
-        self.deleted_clauses += other.deleted_clauses;
-        self.learnt_clauses += other.learnt_clauses;
-        self.lbd_total += other.lbd_total;
-        self.deleted_mid += other.deleted_mid;
-        self.deleted_local += other.deleted_local;
-        self.imported_clauses += other.imported_clauses;
-        self.exported_clauses += other.exported_clauses;
-        self.inprocessings += other.inprocessings;
-        self.vivified_lits += other.vivified_lits;
-        self.subsumed_clauses += other.subsumed_clauses;
-        self.strengthened_lits += other.strengthened_lits;
-        self.gc_runs += other.gc_runs;
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

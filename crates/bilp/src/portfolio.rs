@@ -468,10 +468,13 @@ fn run_probe_worker(
 ) {
     let mut attempt = 0u64;
     loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        if budget.deadline.is_some_and(|d| Instant::now() >= d) {
+        // The first call is unconditional: a race decided before this
+        // thread was scheduled still runs the probe once, and the probe
+        // contract (poll `stop`) makes that call return promptly.
+        if attempt > 0
+            && (shared.stop.load(Ordering::Relaxed)
+                || budget.deadline.is_some_and(|d| Instant::now() >= d))
+        {
             return;
         }
         attempt += 1;

@@ -87,7 +87,7 @@ pub struct SolverConfig {
     pub seed: u64,
     /// Run the presolve pipeline before search (see [`crate::presolve`]).
     /// When `false`, solving follows the exact pre-presolve code path.
-    /// Defaults to the `BILP_PRESOLVE` environment variable, or `true`.
+    /// Defaults to `true`.
     pub presolve: bool,
     /// Propagation-step budget for failed-literal probing inside presolve;
     /// `0` disables probing (the cheap passes still run).
@@ -124,7 +124,7 @@ impl Default for SolverConfig {
             features: EngineFeatures::default(),
             threads: 1,
             seed: 0,
-            presolve: presolve_from_env().unwrap_or(true),
+            presolve: true,
             presolve_probe_budget: PresolveConfig::default().probe_budget,
             certify: false,
             mem_limit: None,
@@ -152,18 +152,6 @@ impl SolverConfig {
 /// `0` means "all cores" (see [`SolverConfig::threads`]).
 pub fn threads_from_env() -> Option<usize> {
     std::env::var("BILP_THREADS").ok()?.trim().parse().ok()
-}
-
-/// Reads the `BILP_PRESOLVE` environment variable: the escape hatch for
-/// disabling presolve globally. `0`, `off`, `false` and `no` disable it;
-/// any other non-empty value enables it; unset/empty yields `None`.
-pub fn presolve_from_env() -> Option<bool> {
-    let v = std::env::var("BILP_PRESOLVE").ok()?;
-    match v.trim() {
-        "" => None,
-        "0" | "off" | "false" | "no" => Some(false),
-        _ => Some(true),
-    }
 }
 
 /// A complete 0/1 assignment to the model's variables.
@@ -1188,9 +1176,13 @@ pub fn certify_infeasibility(
 ///
 /// All queries run on the sequential engine: `config.threads` is ignored
 /// (the portfolio races independent engines and has no shared clause
-/// database to keep warm). `config.time_limit` applies per query, not to
-/// the solver's lifetime; [`stats`](IncrementalSolver::stats) accumulate
-/// across queries.
+/// database to keep warm). `config.time_limit` bounds the solver's
+/// lifetime, not each query: one deadline, fixed at construction, covers
+/// presolve and every later query (a query started after it returns at
+/// its first budget poll), so a caller's limit is never restarted by a
+/// follow-up query. Certification replays keep their own budget (see
+/// [`SolverConfig::certify`]). `config.conflict_limit` still applies per
+/// query; [`stats`](IncrementalSolver::stats) accumulate across queries.
 ///
 /// # Examples
 ///
@@ -1211,6 +1203,9 @@ pub fn certify_infeasibility(
 #[derive(Debug)]
 pub struct IncrementalSolver {
     config: SolverConfig,
+    /// `config.time_limit` from construction: the one deadline presolve
+    /// and every query share.
+    deadline: Option<Instant>,
     /// `None` when the model was refuted at construction (by presolve or
     /// at the engine root): every query is then trivially `Infeasible`.
     inner: Option<Inner>,
@@ -1244,11 +1239,13 @@ struct Inner {
 
 impl IncrementalSolver {
     /// Presolves (per `config.presolve`) and loads `model` into a
-    /// persistent engine. Root infeasibility is detected here; queries on
-    /// an infeasible solver return [`Outcome::Infeasible`] immediately
-    /// with an empty core.
+    /// persistent engine, fixing the deadline `config.time_limit` from
+    /// now. Root infeasibility is detected here; queries on an infeasible
+    /// solver return [`Outcome::Infeasible`] immediately with an empty
+    /// core.
     pub fn new(model: &Model, config: SolverConfig) -> Self {
         let start = Instant::now();
+        let deadline = config.time_limit.map(|d| start + d);
         let mut stats = SolveStats {
             workers: 1,
             ..SolveStats::default()
@@ -1257,7 +1254,7 @@ impl IncrementalSolver {
         let built = if config.presolve {
             let pcfg = PresolveConfig {
                 probe_budget: config.presolve_probe_budget,
-                deadline: config.time_limit.map(|d| start + d),
+                deadline,
                 ..PresolveConfig::default()
             };
             match presolve(model, &pcfg) {
@@ -1302,6 +1299,7 @@ impl IncrementalSolver {
         stats.elapsed = start.elapsed();
         IncrementalSolver {
             config,
+            deadline,
             inner,
             stats,
             last_core: Vec::new(),
@@ -1359,10 +1357,11 @@ impl IncrementalSolver {
         &self.last_core
     }
 
-    /// The per-query search budget from this solver's configuration.
-    fn budget(&self, start: Instant) -> Budget {
+    /// One query's search budget: the solver-wide deadline and a fresh
+    /// conflict limit.
+    fn budget(&self) -> Budget {
         Budget {
-            deadline: self.config.time_limit.map(|d| start + d),
+            deadline: self.deadline,
             conflict_limit: self.config.conflict_limit,
         }
     }
@@ -1416,7 +1415,7 @@ impl IncrementalSolver {
     fn solve_feasible_inner(&mut self) -> Outcome {
         self.last_core.clear();
         let start = Instant::now();
-        let budget = self.budget(start);
+        let budget = self.budget();
         let Some(inner) = self.inner.as_mut() else {
             return Outcome::Infeasible;
         };
@@ -1497,7 +1496,7 @@ impl IncrementalSolver {
     fn optimize_inner(&mut self) -> Outcome {
         self.last_core.clear();
         let start = Instant::now();
-        let budget = self.budget(start);
+        let budget = self.budget();
         let Some(inner) = self.inner.as_mut() else {
             return Outcome::Infeasible;
         };
@@ -1534,7 +1533,7 @@ impl IncrementalSolver {
     fn solve_under_assumptions_inner(&mut self, assumptions: &[Lit]) -> Outcome {
         self.last_core.clear();
         let start = Instant::now();
-        let budget = self.budget(start);
+        let budget = self.budget();
         let Some(inner) = self.inner.as_mut() else {
             return Outcome::Infeasible;
         };
@@ -1564,6 +1563,10 @@ impl IncrementalSolver {
                             .as_ref()
                             .expect("presolved state keeps the original model");
                         let mut fallback = Solver::with_config(SolverConfig {
+                            // Whatever is left of the shared deadline.
+                            time_limit: self
+                                .deadline
+                                .map(|d| d.saturating_duration_since(Instant::now())),
                             presolve: false,
                             // The outer wrapper certifies Infeasible
                             // answers itself; avoid a double replay.

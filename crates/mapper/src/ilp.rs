@@ -1,5 +1,6 @@
 //! The exact ILP mapper: builds the paper's formulation and solves it.
 
+use crate::anneal::{AnnealParams, AnnealingMapper};
 use crate::formulation::{BuildInfeasible, Formulation, FormulationStats};
 use crate::mapping::{validate_mapping, Mapping};
 use crate::options::MapperOptions;
@@ -167,6 +168,13 @@ impl IlpMapper {
 
     /// Maps `dfg` onto `mrrg`.
     ///
+    /// Each attempt is one solve, chosen by how many engines
+    /// [`MapperOptions::threads`] resolves to. One engine answers the
+    /// feasibility question and, with [`MapperOptions::optimize`], goes
+    /// on to minimise routing on the same persistent solver; several
+    /// race in one portfolio solve. [`MapperOptions::time_limit`] bounds
+    /// the attempt as a whole.
+    ///
     /// Returned mappings are re-validated structurally against both graphs
     /// before being handed back, so a `Mapped` outcome is always a
     /// certified mapping.
@@ -211,76 +219,18 @@ impl IlpMapper {
         if let Some(mapping) = hint {
             formulation.warm_start(dfg, mapping);
         } else if self.options.warm_start {
-            if let Some(mapping) = self.run_warm_start_portfolio(dfg, mrrg, start) {
+            if let Some(mapping) = self.warm_start_mapping(dfg, mrrg, start) {
                 formulation.warm_start(dfg, &mapping);
             }
         }
-        // Inline heuristic seeding (the `threads == 1` half of
-        // `seed_probes`): run the probes synchronously before search and
-        // carry a successful mapping into the solver twice over — as
-        // warm-start branch hints *and* as a dense assignment the solver
-        // validates into a first incumbent. With `threads != 1` the
-        // probes instead race inside the portfolio (below).
-        let mut seed_values: Option<Vec<bool>> = None;
-        if self.options.seed_probes > 0 && self.options.threads == 1 {
-            if let Some((mapping, values)) = self.run_seed_probes(dfg, mrrg, &formulation, start) {
-                formulation.warm_start(dfg, &mapping);
-                seed_values = Some(values);
-            }
-        }
-        let remaining = self
-            .options
-            .time_limit
-            .map(|l| l.saturating_sub(start.elapsed()));
-        let config = SolverConfig {
-            time_limit: remaining,
-            threads: self.options.threads,
-            seed: self.options.seed,
-            presolve: self.options.presolve,
-            conflict_limit: self.options.conflict_limit,
-            objective_stop: self.options.objective_stop,
-            certify: self.options.certify,
-            mem_limit: self.options.mem_limit,
-            probe_workers: self.options.seed_probes,
-            ..SolverConfig::default()
+        // One solve per attempt, chosen only by how many engines run.
+        let config = self.solver_config(start);
+        let (out, solver_stats, certificate) = if config.effective_threads() == 1 {
+            self.solve_sequential(dfg, mrrg, &mut formulation, start)
+        } else {
+            self.solve_portfolio(dfg, mrrg, &formulation, config, start)
         };
-        // The incremental path keeps one engine across the feasibility
-        // probe and the optimising descent; a portfolio races independent
-        // engines, so `threads != 1` falls back to the one-shot solve.
-        let (outcome, solver_stats, certificate) =
-            if self.options.incremental && self.options.threads == 1 {
-                self.solve_incremental(dfg, mrrg, &formulation, config, seed_values.as_deref())
-            } else {
-                let mut solver = Solver::with_config(config);
-                if let Some(flag) = &self.interrupt {
-                    solver.set_interrupt(Arc::clone(flag));
-                }
-                let out = if self.options.seed_probes > 0 && self.options.threads != 1 {
-                    // Racing probes: dedicated portfolio workers run
-                    // cheap annealing attempts concurrently with the
-                    // CDCL engines; validated mappings become shared
-                    // incumbents that bound every engine mid-solve.
-                    let probe = AnnealProbe {
-                        dfg,
-                        mrrg,
-                        formulation: &formulation,
-                        options: self.options,
-                        deadline: Instant::now() + self.probe_budget(start),
-                    };
-                    solver.solve_with_probe(formulation.model(), &probe)
-                } else if let Some(values) = &seed_values {
-                    // Sequential non-incremental solve: hand the inline
-                    // probe's assignment over as a one-shot incumbent
-                    // candidate (the solver still validates it).
-                    let probe = PrecomputedProbe { values };
-                    solver.solve_with_probe(formulation.model(), &probe)
-                } else {
-                    solver.solve(formulation.model())
-                };
-                let outcome = self.decode_outcome(dfg, mrrg, &formulation, out);
-                let certificate = solver.certificate().cloned();
-                (outcome, solver.stats(), certificate)
-            };
+        let outcome = self.decode_outcome(dfg, mrrg, &formulation, out);
         let infeasible_core = if self.options.explain_infeasible
             && matches!(outcome, MapOutcome::Infeasible { .. })
         {
@@ -302,37 +252,95 @@ impl IlpMapper {
         }
     }
 
-    /// Solves the formulation on one persistent [`IncrementalSolver`]:
-    /// the feasibility probe runs first, and when optimising, the descent
-    /// continues on the same engine — learnt clauses and variable
-    /// activities from the probe carry over, and the probe's incumbent
-    /// seeds the first objective bound.
-    fn solve_incremental(
+    /// The solver configuration for an attempt that began at `start`:
+    /// whatever is left of the attempt's time limit, plus every option
+    /// the solver reads.
+    fn solver_config(&self, start: Instant) -> SolverConfig {
+        SolverConfig {
+            time_limit: self
+                .options
+                .time_limit
+                .map(|l| l.saturating_sub(start.elapsed())),
+            threads: self.options.threads,
+            seed: self.options.seed,
+            presolve: self.options.presolve,
+            conflict_limit: self.options.conflict_limit,
+            objective_stop: self.options.objective_stop,
+            certify: self.options.certify,
+            mem_limit: self.options.mem_limit,
+            probe_workers: self.options.seed_probes,
+            ..SolverConfig::default()
+        }
+    }
+
+    /// The one-engine solve. Inline seeding probes run first (when
+    /// [`MapperOptions::seed_probes`] asks for them) and a mapping they
+    /// find enters twice: as warm-start branch hints and as the
+    /// descent's first incumbent. Then one persistent
+    /// [`IncrementalSolver`] answers the feasibility question and, when
+    /// optimising, continues the descent on the same engine — learnt
+    /// clauses and variable activities carry over, and the feasible
+    /// solution seeds the first objective bound.
+    fn solve_sequential(
+        &self,
+        dfg: &Dfg,
+        mrrg: &Mrrg,
+        formulation: &mut Formulation,
+        start: Instant,
+    ) -> (Outcome, SolveStats, Option<Certificate>) {
+        let seed = if self.options.seed_probes > 0 {
+            self.inline_probe(dfg, mrrg, formulation, start)
+        } else {
+            None
+        };
+        if let Some((mapping, _)) = &seed {
+            formulation.warm_start(dfg, mapping);
+        }
+        let mut inc = IncrementalSolver::new(formulation.model(), self.solver_config(start));
+        if let Some(flag) = &self.interrupt {
+            inc.set_interrupt(Arc::clone(flag));
+        }
+        if let Some((_, values)) = &seed {
+            inc.seed_incumbent(values);
+        }
+        let first = inc.solve_feasible();
+        let out = if self.options.optimize && first.solution().is_some() {
+            inc.optimize()
+        } else {
+            first
+        };
+        (out, inc.stats(), inc.certificate().cloned())
+    }
+
+    /// The multi-engine solve: one portfolio [`Solver`] run. With
+    /// [`MapperOptions::seed_probes`] set, annealing probe workers race
+    /// the CDCL engines and their validated mappings become shared
+    /// incumbents that bound every engine mid-solve.
+    fn solve_portfolio(
         &self,
         dfg: &Dfg,
         mrrg: &Mrrg,
         formulation: &Formulation,
         config: SolverConfig,
-        seed: Option<&[bool]>,
-    ) -> (MapOutcome, SolveStats, Option<Certificate>) {
-        let mut inc = IncrementalSolver::new(formulation.model(), config);
+        start: Instant,
+    ) -> (Outcome, SolveStats, Option<Certificate>) {
+        let mut solver = Solver::with_config(config);
         if let Some(flag) = &self.interrupt {
-            inc.set_interrupt(Arc::clone(flag));
+            solver.set_interrupt(Arc::clone(flag));
         }
-        // An inline probe's mapping seeds the descent's incumbent: the
-        // optimising phase starts already bounded below a real mapping
-        // instead of spending its first bound probe rediscovering one.
-        if let Some(values) = seed {
-            inc.seed_incumbent(values);
-        }
-        let first = inc.solve_feasible();
-        let outcome = if self.options.optimize && first.solution().is_some() {
-            self.decode_outcome(dfg, mrrg, formulation, inc.optimize())
+        let out = if self.options.seed_probes > 0 {
+            let probe = AnnealProbe {
+                dfg,
+                mrrg,
+                formulation,
+                options: self.options,
+                deadline: Instant::now() + self.probe_budget(start),
+            };
+            solver.solve_with_probe(formulation.model(), &probe)
         } else {
-            self.decode_outcome(dfg, mrrg, formulation, first)
+            solver.solve(formulation.model())
         };
-        let certificate = inc.certificate().cloned();
-        (outcome, inc.stats(), certificate)
+        (out, solver.stats(), solver.certificate().cloned())
     }
 
     /// Translates a solver outcome into a [`MapOutcome`], decoding and
@@ -375,60 +383,28 @@ impl IlpMapper {
         }
     }
 
-    /// A short simulated-annealing portfolio used only to seed branch
-    /// hints. Budget: at most a third of the remaining time, split over a
-    /// few seeds.
-    fn run_warm_start_portfolio(
-        &self,
-        dfg: &Dfg,
-        mrrg: &Mrrg,
-        start: Instant,
-    ) -> Option<crate::mapping::Mapping> {
-        use crate::anneal::{AnnealParams, AnnealingMapper};
+    /// A short simulated-annealing portfolio whose mapping becomes branch
+    /// hints: up to 45% of the remaining time limit (30 s when
+    /// unlimited), in attempts of at most 10 s; skipped when an attempt
+    /// would get under 50 ms.
+    fn warm_start_mapping(&self, dfg: &Dfg, mrrg: &Mrrg, start: Instant) -> Option<Mapping> {
         let total = match self.options.time_limit {
-            Some(limit) => (limit.saturating_sub(start.elapsed())).mul_f64(0.45),
+            Some(limit) => limit.saturating_sub(start.elapsed()).mul_f64(0.45),
             None => Duration::from_secs(30),
         };
-        let per_attempt = Duration::from_secs(10).min(total);
-        if per_attempt < Duration::from_millis(50) {
+        let slice = Duration::from_secs(10).min(total);
+        if slice < Duration::from_millis(50) {
             return None;
         }
-        let portfolio_start = Instant::now();
-        for k in 0.. {
-            if portfolio_start.elapsed() >= total {
-                break;
-            }
-            // Cancellation check: skip the seeding portfolio entirely
-            // when a shutdown is in progress (the annealer itself is
-            // time-bounded but not interruptible).
-            if self
-                .interrupt
-                .as_ref()
-                .is_some_and(|f| f.load(Ordering::Relaxed))
-            {
-                break;
-            }
-            let mapper = AnnealingMapper::new(
-                MapperOptions {
-                    seed: self.options.seed.wrapping_add(k),
-                    time_limit: Some(per_attempt),
-                    warm_start: false,
-                    ..self.options
-                },
-                AnnealParams {
-                    outer_iterations: 400,
-                    moves_per_temperature: 400,
-                    initial_temperature: 10.0,
-                    cooling: 0.97,
-                    congestion_growth: 0.15,
-                },
-            );
-            let report = mapper.map(dfg, mrrg);
-            if let MapOutcome::Mapped { mapping, .. } = report.outcome {
-                return Some(mapping);
-            }
+        AnnealAttempts {
+            params: WARM_START_PARAMS,
+            seed: self.options.seed,
+            stride: 1,
+            attempts: u64::MAX,
+            slice,
+            deadline: Instant::now() + total,
         }
-        None
+        .run(dfg, mrrg, self.options, self.interrupt.as_deref(), Some)
     }
 
     /// The wall-clock budget for heuristic seeding probes:
@@ -450,48 +426,106 @@ impl IlpMapper {
         }
     }
 
-    /// Runs up to [`MapperOptions::seed_probes`] cheap annealing
-    /// attempts synchronously (the `threads == 1` seeding path) and
-    /// returns the first mapping the formulation can encode, with its
-    /// dense assignment over the formulation's variables.
-    fn run_seed_probes(
+    /// Runs up to [`MapperOptions::seed_probes`] probe attempts inline,
+    /// splitting the probe budget evenly, and returns the first mapping
+    /// the formulation can encode, with its dense assignment over the
+    /// formulation's variables.
+    fn inline_probe(
         &self,
         dfg: &Dfg,
         mrrg: &Mrrg,
         formulation: &Formulation,
         start: Instant,
     ) -> Option<(Mapping, Vec<bool>)> {
-        use crate::anneal::AnnealingMapper;
         let budget = self.probe_budget(start);
-        let attempts = u32::try_from(self.options.seed_probes).unwrap_or(u32::MAX);
-        let per_attempt = budget / attempts.max(1);
-        let probe_start = Instant::now();
-        for k in 0..self.options.seed_probes as u64 {
-            let slice = per_attempt.min(budget.saturating_sub(probe_start.elapsed()));
-            if slice < Duration::from_millis(5) {
-                break;
-            }
-            if self
-                .interrupt
-                .as_ref()
-                .is_some_and(|f| f.load(Ordering::Relaxed))
-            {
+        let attempts = self.options.seed_probes as u64;
+        AnnealAttempts {
+            params: PROBE_PARAMS,
+            seed: self.options.seed,
+            stride: 1,
+            attempts,
+            slice: budget / u32::try_from(attempts).unwrap_or(u32::MAX).max(1),
+            deadline: Instant::now() + budget,
+        }
+        .run(
+            dfg,
+            mrrg,
+            self.options,
+            self.interrupt.as_deref(),
+            |mapping| {
+                formulation
+                    .encode(dfg, &mapping)
+                    .map(|values| (mapping, values))
+            },
+        )
+    }
+}
+
+/// Annealing schedule for the warm-start portfolio.
+const WARM_START_PARAMS: AnnealParams = AnnealParams {
+    outer_iterations: 400,
+    moves_per_temperature: 400,
+    initial_temperature: 10.0,
+    cooling: 0.97,
+    congestion_growth: 0.15,
+};
+
+/// Annealing schedule for seeding probes — much lighter than the
+/// warm-start portfolio's: probes race the exact solver, so a fast
+/// mediocre mapping beats a slow good one.
+const PROBE_PARAMS: AnnealParams = AnnealParams {
+    outer_iterations: 120,
+    moves_per_temperature: 200,
+    initial_temperature: 5.0,
+    cooling: 0.9,
+    congestion_growth: 0.25,
+};
+
+/// The one annealing loop behind warm start, inline probes and
+/// [`AnnealProbe`]: attempt `k` anneals under `params` with seed
+/// `seed + k * stride` for `slice`, clamped to the time left before
+/// `deadline`.
+#[derive(Debug)]
+struct AnnealAttempts {
+    params: AnnealParams,
+    seed: u64,
+    stride: u64,
+    attempts: u64,
+    slice: Duration,
+    deadline: Instant,
+}
+
+impl AnnealAttempts {
+    /// Runs the attempts in order and returns the first mapping `accept`
+    /// turns into a value. Stops when `stop` is set (the annealer itself
+    /// cannot be interrupted, so it is polled between attempts), when
+    /// the attempts run out, or when less than 5 ms is left.
+    fn run<T>(
+        &self,
+        dfg: &Dfg,
+        mrrg: &Mrrg,
+        options: MapperOptions,
+        stop: Option<&AtomicBool>,
+        mut accept: impl FnMut(Mapping) -> Option<T>,
+    ) -> Option<T> {
+        for k in 0..self.attempts {
+            let slice = self
+                .slice
+                .min(self.deadline.saturating_duration_since(Instant::now()));
+            if slice < Duration::from_millis(5) || stop.is_some_and(|f| f.load(Ordering::Relaxed)) {
                 break;
             }
             let mapper = AnnealingMapper::new(
                 MapperOptions {
-                    seed: self.options.seed.wrapping_add(k),
+                    seed: self.seed.wrapping_add(k.wrapping_mul(self.stride)),
                     time_limit: Some(slice),
-                    warm_start: false,
-                    seed_probes: 0,
-                    ..self.options
+                    ..options
                 },
-                probe_anneal_params(),
+                self.params,
             );
-            let report = mapper.map(dfg, mrrg);
-            if let MapOutcome::Mapped { mapping, .. } = report.outcome {
-                if let Some(values) = formulation.encode(dfg, &mapping) {
-                    return Some((mapping, values));
+            if let MapOutcome::Mapped { mapping, .. } = mapper.map(dfg, mrrg).outcome {
+                if let Some(found) = accept(mapping) {
+                    return Some(found);
                 }
             }
         }
@@ -499,38 +533,11 @@ impl IlpMapper {
     }
 }
 
-/// Annealing schedule for seeding probes — much lighter than the
-/// warm-start portfolio's: probes race the exact solver, so a fast
-/// mediocre mapping beats a slow good one.
-fn probe_anneal_params() -> crate::anneal::AnnealParams {
-    crate::anneal::AnnealParams {
-        outer_iterations: 120,
-        moves_per_temperature: 200,
-        initial_temperature: 5.0,
-        cooling: 0.9,
-        congestion_growth: 0.25,
-    }
-}
-
-/// Hands a precomputed inline-probe assignment to the sequential solver
-/// as a one-shot heuristic incumbent candidate; the solver re-validates
-/// it before trusting it.
-#[derive(Debug)]
-struct PrecomputedProbe<'a> {
-    values: &'a [bool],
-}
-
-impl HeuristicProbe for PrecomputedProbe<'_> {
-    fn probe(&self, _seed: u64, _stop: &AtomicBool) -> Option<Vec<bool>> {
-        Some(self.values.to_vec())
-    }
-}
-
 /// A racing probe source for the portfolio: each `probe` call runs
-/// cheap randomized annealing attempts under the diversified seed until
-/// one produces an encodable mapping or the probe deadline passes
-/// (`None` then retires the probe worker; the CDCL workers keep the
-/// full time budget).
+/// probe attempts of at most 250 ms under the diversified seed until one
+/// produces an encodable mapping or the probe deadline passes (`None`
+/// then retires the probe worker; the CDCL workers keep the full time
+/// budget).
 #[derive(Debug)]
 struct AnnealProbe<'a> {
     dfg: &'a Dfg,
@@ -542,36 +549,17 @@ struct AnnealProbe<'a> {
 
 impl HeuristicProbe for AnnealProbe<'_> {
     fn probe(&self, seed: u64, stop: &AtomicBool) -> Option<Vec<bool>> {
-        use crate::anneal::AnnealingMapper;
-        let mut attempt = 0u64;
-        loop {
-            if stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= self.deadline {
-                return None;
-            }
-            let slice = Duration::from_millis(250).min(self.deadline - now);
-            let mapper = AnnealingMapper::new(
-                MapperOptions {
-                    seed: seed.wrapping_add(attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                    time_limit: Some(slice),
-                    warm_start: false,
-                    seed_probes: 0,
-                    threads: 1,
-                    ..self.options
-                },
-                probe_anneal_params(),
-            );
-            let report = mapper.map(self.dfg, self.mrrg);
-            if let MapOutcome::Mapped { mapping, .. } = report.outcome {
-                if let Some(values) = self.formulation.encode(self.dfg, &mapping) {
-                    return Some(values);
-                }
-            }
-            attempt += 1;
+        AnnealAttempts {
+            params: PROBE_PARAMS,
+            seed,
+            stride: 0x9e37_79b9_7f4a_7c15,
+            attempts: u64::MAX,
+            slice: Duration::from_millis(250),
+            deadline: self.deadline,
         }
+        .run(self.dfg, self.mrrg, self.options, Some(stop), |mapping| {
+            self.formulation.encode(self.dfg, &mapping)
+        })
     }
 }
 

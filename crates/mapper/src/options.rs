@@ -103,17 +103,18 @@ pub struct MapperOptions {
     /// solvers offer). Verdicts — feasible, infeasible, optimal — are
     /// still produced by the exact solver; hints only steer search order.
     pub warm_start: bool,
-    /// Number of portfolio solver threads for the ILP mapper. `1` runs
-    /// the classic sequential engine (bit-for-bit deterministic); `0`
-    /// uses all available cores; `n > 1` races `n` diversified engines
-    /// and returns the first decisive verdict. Verdicts and optimal
-    /// objective values are identical across thread counts; which
-    /// optimal *solution* is returned may differ.
+    /// Number of solver engines for the ILP mapper. One engine (`1`, or
+    /// `0` on a one-core machine) is a persistent sequential solver whose
+    /// feasibility solve and optimising descent share learnt clauses
+    /// (bit-for-bit deterministic); `0` uses all available cores; `n > 1`
+    /// races `n` diversified engines in one portfolio solve and returns
+    /// the first decisive verdict. Verdicts and optimal objective values
+    /// are identical across thread counts; which optimal *solution* is
+    /// returned may differ.
     pub threads: usize,
     /// Whether the ILP solver runs its presolve pipeline (propagation,
-    /// saturation, equivalence merging, probing, …) before search. The
-    /// default follows the `BILP_PRESOLVE` environment variable and is
-    /// otherwise on; turning it off reproduces the pre-presolve solver
+    /// saturation, equivalence merging, probing, …) before search. On by
+    /// default; turning it off reproduces the pre-presolve solver
     /// behaviour bit for bit.
     pub presolve: bool,
     /// Whether formulation construction applies the MRRG reachability
@@ -125,30 +126,20 @@ pub struct MapperOptions {
     /// candidate for every value — which is the baseline the reduction
     /// is benchmarked against (`BENCH_presolve.json`).
     pub reach_reduction: bool,
-    /// Whether the ILP mapper drives one persistent incremental solver
-    /// per formulation: the feasibility probe and the optimising descent
-    /// run on the same engine, so learnt clauses and variable activities
-    /// from the feasibility phase carry into optimisation, and objective
-    /// bounds are probed as solver assumptions instead of re-posted
-    /// constraints. Off rebuilds a fresh solver per phase — the
-    /// from-scratch baseline `BENCH_incremental.json` measures against.
-    /// Incremental solving implies a single engine; when `threads > 1`
-    /// the mapper falls back to the from-scratch portfolio path.
-    pub incremental: bool,
     /// Conflict budget per solver query (each feasibility solve and each
     /// objective-bound probe of the optimising descent counts its own
     /// conflicts against this limit). `None` = unlimited. A conflict
     /// budget makes optimisation runs terminate after a bounded amount of
-    /// *search* work regardless of wall-clock, which is how
-    /// `BENCH_incremental.json` equalises the descent effort of its two
-    /// arms; a query that exhausts the budget reports timeout/best-found.
+    /// *search* work regardless of wall-clock, which is how the
+    /// benchmarks fix the work a request does; a query that exhausts the
+    /// budget reports timeout/best-found.
     pub conflict_limit: Option<u64>,
     /// Target objective value: when [`MapperOptions::optimize`] is set,
     /// the routing-minimisation descent stops at the first mapping whose
     /// objective is at or below this value instead of descending to the
     /// proven optimum (MIP "best-objective stop"). `None` = descend
-    /// until optimal. `BENCH_incremental.json` uses it to measure
-    /// time-to-reference-quality symmetrically in both of its arms.
+    /// until optimal. `engine_bench` uses it to time the min-II ladder to
+    /// its first incumbent.
     pub objective_stop: Option<i64>,
     /// Whether an infeasible verdict is accompanied by an explanation:
     /// the mapper re-solves with every constraint group (placement,
@@ -189,10 +180,10 @@ pub struct MapperOptions {
     pub anneal_fallback: bool,
     /// Number of heuristic incumbent-seeding probes: cheap randomized
     /// annealing attempts whose validated mappings feed the exact solver
-    /// a first incumbent *before* (and, with `threads > 1`,
-    /// *concurrently with*) its own search. With `threads = 1` the
-    /// probes run inline and seed the descent plus the warm-start branch
-    /// hints; with `threads > 1` they race inside the `bilp` portfolio
+    /// a first incumbent *before* (and, with several engines,
+    /// *concurrently with*) its own search. With one engine the probes
+    /// run inline and seed the descent plus the warm-start branch
+    /// hints; with several they race inside the `bilp` portfolio
     /// as first-class probe workers whose incumbents bound every CDCL
     /// engine mid-solve. Verdicts, optimal objective values and
     /// infeasibility certificates are unaffected — probes only supply
@@ -218,9 +209,8 @@ impl Default for MapperOptions {
             seed: 1,
             warm_start: false,
             threads: 1,
-            presolve: bilp::presolve_from_env().unwrap_or(true),
+            presolve: true,
             reach_reduction: true,
-            incremental: true,
             conflict_limit: None,
             objective_stop: None,
             explain_infeasible: false,

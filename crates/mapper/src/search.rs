@@ -12,13 +12,12 @@
 //!   once (it is context-invariant — contexts replicate components), and
 //!   a component-level capacity matching with multiplicity II rejects
 //!   over-subscribed IIs without building an MRRG or a formulation;
-//! * when optimising with [`MapperOptions::incremental`] (the default),
-//!   the feasibility question and the routing-minimisation descent run
-//!   on one persistent solver engine per II: learnt clauses and variable
-//!   activities from the feasibility probe carry into optimisation, and
-//!   the probe's incumbent seeds the first objective bound. With
-//!   `incremental` off the two phases are separate solves, bridged only
-//!   by a warm-start hint — the from-scratch baseline;
+//! * each II the analysis does not reject is one [`IlpMapper::map`]
+//!   call: with one engine the feasibility question and the
+//!   routing-minimisation descent run on one persistent solver, so
+//!   learnt clauses and variable activities from the feasibility solve
+//!   carry into optimisation and its solution seeds the first objective
+//!   bound; with more, one portfolio solve answers both;
 //! * presolve and engine statistics are accumulated across every attempt
 //!   into [`MinIiReport::totals`].
 
@@ -329,12 +328,9 @@ fn provenance_of(
 /// a heuristic-based loop can. Timeouts are recorded and the search
 /// continues (a larger II is often *easier* to decide).
 ///
-/// With [`MapperOptions::optimize`] set, each II is decided as a pure
-/// feasibility question first and the routing-minimisation descent runs
-/// only at the II that mapped. Under the default
-/// [`MapperOptions::incremental`] both phases share one solver engine
-/// per II (the feasibility incumbent seeds the descent's first bound);
-/// otherwise they are separate solves bridged by a warm-start hint.
+/// With [`MapperOptions::optimize`] set, each II attempt also minimises
+/// routing once it has a mapping (see [`IlpMapper::map`]), so the
+/// descent runs only at the II that mapped.
 /// `MapperOptions::time_limit` bounds each mapping attempt.
 ///
 /// # Examples
@@ -377,13 +373,10 @@ pub(crate) fn min_ii_ladder(
             .as_ref()
             .is_some_and(|f| f.load(Ordering::Relaxed))
     };
-    let mapper_for = |opts: MapperOptions| {
-        let mut m = IlpMapper::new(opts);
-        if let Some(flag) = &interrupt {
-            m = m.with_interrupt(Arc::clone(flag));
-        }
-        m
-    };
+    let mut mapper = IlpMapper::new(options);
+    if let Some(flag) = &interrupt {
+        mapper = mapper.with_interrupt(Arc::clone(flag));
+    }
 
     // One II=1 MRRG drives the context-invariant analysis, is reused for
     // the II=1 attempt, and stays alive for the trust auditor (it checks
@@ -425,48 +418,8 @@ pub(crate) fn min_ii_ladder(
         };
         let mrrg: &Mrrg = &mrrg;
 
-        let mut report = if options.optimize && options.incremental && options.threads == 1 {
-            // One formulation, one engine: the mapper's incremental path
-            // runs the feasibility probe and the optimising descent on
-            // the same solver, so learnt clauses carry over and the
-            // probe's incumbent seeds the first objective bound.
-            let report = mapper_for(options).map(dfg, mrrg);
-            totals.absorb(&report);
-            report
-        } else {
-            // From-scratch: decide feasibility without the objective —
-            // strictly cheaper, and the verdict is the same — then bridge
-            // to a separate optimisation solve via a warm-start hint.
-            let feasibility = mapper_for(MapperOptions {
-                optimize: false,
-                ..options
-            })
-            .map(dfg, mrrg);
-            totals.absorb(&feasibility);
-
-            let mut report = feasibility;
-            if options.optimize {
-                if let Some(found) = report.outcome.mapping().cloned() {
-                    // Carry the feasibility placement into the optimisation
-                    // solve as a warm start: the solver opens with a known
-                    // incumbent and spends its budget proving or improving.
-                    let mut optimized = mapper_for(options).map_with_hint(dfg, mrrg, Some(&found));
-                    totals.absorb(&optimized);
-                    if optimized.outcome.is_mapped() {
-                        // The attempt's report covers both phases: merge the
-                        // feasibility solve's engine counters so per-attempt
-                        // stats mean "what this II cost", not "what the last
-                        // solver cost".
-                        optimized.solver.engine.absorb(&report.solver.engine);
-                        report = MapReport {
-                            elapsed: report.elapsed + optimized.elapsed,
-                            ..optimized
-                        };
-                    }
-                }
-            }
-            report
-        };
+        let mut report = mapper.map(dfg, mrrg);
+        totals.absorb(&report);
 
         // Graceful degradation: a timeout decides nothing, but a
         // heuristic mapping — validated like any other — still upgrades

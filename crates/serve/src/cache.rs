@@ -77,7 +77,6 @@ pub fn options_fingerprint(o: &MapperOptions) -> u64 {
     h.write_u64(o.threads as u64);
     h.write_u64(o.presolve as u64);
     h.write_u64(o.reach_reduction as u64);
-    h.write_u64(o.incremental as u64);
     h.write_opt_i64(o.conflict_limit.map(|n| n as i64));
     h.write_opt_i64(o.objective_stop);
     h.write_u64(o.explain_infeasible as u64);

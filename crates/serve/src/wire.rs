@@ -376,7 +376,6 @@ pub fn encode_options(o: &MapperOptions) -> Json {
         ("threads", Json::Int(o.threads as i64)),
         ("presolve", Json::Bool(o.presolve)),
         ("reach_reduction", Json::Bool(o.reach_reduction)),
-        ("incremental", Json::Bool(o.incremental)),
         (
             "conflict_limit",
             o.conflict_limit.map_or(Json::Null, |n| Json::Int(n as i64)),
@@ -479,9 +478,6 @@ pub fn decode_options(doc: Option<&Json>) -> Result<MapperOptions, WireError> {
     }
     if let Some(v) = doc.get("reach_reduction") {
         o.reach_reduction = req_bool(v, "reach_reduction")?;
-    }
-    if let Some(v) = doc.get("incremental") {
-        o.incremental = req_bool(v, "incremental")?;
     }
     if let Some(v) = doc.get("conflict_limit") {
         o.conflict_limit = match v {

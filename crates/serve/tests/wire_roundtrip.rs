@@ -21,7 +21,7 @@ use cgra_serve::json::Json;
 use cgra_serve::wire::{
     decode_map_report, decode_min_ii_report, decode_options, encode_certificate, encode_map_report,
     encode_min_ii_report, encode_options, error_response, ok_response, parse_request, ErrorKind,
-    Served, WireError,
+    RequestBody, Served, WireError,
 };
 use std::time::Duration;
 
@@ -188,7 +188,6 @@ fn options_roundtrip_every_field() {
         threads: 3,
         presolve: false,
         reach_reduction: false,
-        incremental: false,
         conflict_limit: Some(10_000),
         objective_stop: Some(-7),
         explain_infeasible: true,
@@ -216,6 +215,38 @@ fn options_roundtrip_every_field() {
         cgra_serve::cache::options_fingerprint(&MapperOptions::default()),
         cgra_serve::cache::options_fingerprint(&defaulted),
     );
+}
+
+#[test]
+fn retired_incremental_option_is_ignored() {
+    // `incremental` chose a solve path the mapper no longer has. Clients
+    // that still send it must get an answer, from the same cache entry.
+    let dfg = cgra_dfg::text::print(&kernel("accum"));
+    let arch = cgra_arch::text::print(&homo_diag());
+    let d = cgra_serve::json::s(&dfg).to_string();
+    let a = cgra_serve::json::s(&arch).to_string();
+    let key = |extra: &str| {
+        let line = format!(
+            "{{\"id\":\"r\",\"cmd\":\"map\",\"dfg\":{d},\"arch\":{a},\"ii\":1,\
+             \"options\":{{\"optimize\":true{extra}}}}}"
+        );
+        let RequestBody::Map {
+            dfg,
+            arch,
+            ii,
+            options,
+        } = parse_request(&line).expect("request decodes").body
+        else {
+            panic!("a map request");
+        };
+        let dfg_hash = cgra_dfg::text::parse(&dfg).expect("dfg").content_hash();
+        let arch_hash = cgra_arch::text::parse(&arch).expect("arch").content_hash();
+        (
+            cgra_serve::cache::request_key("map", dfg_hash, arch_hash, ii, &options),
+            cgra_serve::cache::raw_request_key("map", &dfg, &arch, ii, &options),
+        )
+    };
+    assert_eq!(key(",\"incremental\":false"), key(""));
 }
 
 // ---------------------------------------------------------------------
