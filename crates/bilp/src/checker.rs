@@ -1,7 +1,7 @@
 //! Independent reverse-unit-propagation (RUP) proof checker.
 //!
 //! This module certifies `Infeasible` verdicts without trusting the
-//! search engine. It shares **no code** with [`crate::engine`]: the only
+//! search engine. It shares **no code** with [`crate::Engine`]: the only
 //! inputs it believes are the [`Model`] itself and the normal-form
 //! translation in [`crate::normalize`] (which is part of the model
 //! semantics, exercised directly by the brute-force differential tests).

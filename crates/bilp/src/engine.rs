@@ -410,7 +410,7 @@ pub struct EngineFeatures {
     /// Upper LBD bound of the *mid* tier; clauses above it are *local*.
     /// The tier only affects reduction bookkeeping and deletion order —
     /// local clauses are deleted before mid ones of the same age and
-    /// activity, but any non-glue clause unused for [`MAX_CLAUSE_AGE`]
+    /// activity, but any non-glue clause unused for `MAX_CLAUSE_AGE`
     /// reductions is evicted.
     pub mid_lbd: u32,
     /// Maximum LBD for a learnt clause to be exported to the portfolio

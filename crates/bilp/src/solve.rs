@@ -85,7 +85,7 @@ pub struct SolverConfig {
     /// it). With `threads = 1` the seed only matters if
     /// `features.random_tiebreak` is enabled.
     pub seed: u64,
-    /// Run the presolve pipeline before search (see [`crate::presolve`]).
+    /// Run the presolve pipeline before search (see [`mod@crate::presolve`]).
     /// When `false`, solving follows the exact pre-presolve code path.
     /// Defaults to `true`.
     pub presolve: bool,

@@ -11,14 +11,15 @@
 //! at the full budget while its neighbours finish in milliseconds — keeps
 //! every worker busy until the queue drains.
 //!
-//! The [`reactor`] module is the same idea applied to I/O: a minimal
-//! readiness [`reactor::Poller`] (epoll on Linux, `poll(2)` on other
-//! unixes) standing in for `mio`, used by the `cgra-serve` daemon's
-//! event loop.
+//! On unix, the `reactor` module is the same idea applied to I/O: a
+//! minimal readiness `reactor::Poller` (epoll on Linux, `poll(2)` on
+//! other unixes) standing in for `mio`, used by the `cgra-serve`
+//! daemon's event loop.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(unix)]
 pub mod reactor;
 
 use std::sync::atomic::{AtomicUsize, Ordering};

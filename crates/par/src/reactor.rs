@@ -11,10 +11,10 @@
 //! * on Linux, `epoll_create1` / `epoll_ctl` / `epoll_wait` — O(ready)
 //!   wakeups, the production path;
 //! * on other unixes, POSIX `poll(2)` — O(registered) per wakeup, but
-//!   portable and semantically identical at the sizes this repo runs;
-//! * on non-unix platforms the type still compiles but every call
-//!   returns [`std::io::ErrorKind::Unsupported`], and callers (see
-//!   `cgra-serve`) fall back to a threaded transport.
+//!   portable and semantically identical at the sizes this repo runs.
+//!
+//! The module exists on unix only; the rest of this crate, and the
+//! solver crates built on it, stay portable.
 //!
 //! The interface is deliberately tiny and level-triggered: register a
 //! file descriptor with a `token` and read/write interest, [`wait`]
@@ -28,9 +28,8 @@
 use std::io;
 use std::time::Duration;
 
-/// A raw file descriptor (mirrors `std::os::fd::RawFd` without pulling
-/// unix-only paths into the non-unix build).
-pub type Fd = i32;
+/// A raw file descriptor.
+pub type Fd = std::os::unix::io::RawFd;
 
 /// Readiness interest for a registered descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,7 +208,7 @@ mod sys {
 // Other unix: poll(2)
 // ---------------------------------------------------------------------
 
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 mod sys {
     use super::{Event, Interest};
     use std::io;
@@ -335,50 +334,6 @@ mod sys {
     }
 }
 
-// ---------------------------------------------------------------------
-// Non-unix: explicit unsupported stub
-// ---------------------------------------------------------------------
-
-#[cfg(not(unix))]
-mod sys {
-    use super::{Event, Interest};
-    use std::io;
-    use std::time::Duration;
-
-    fn unsupported() -> io::Error {
-        io::Error::new(
-            io::ErrorKind::Unsupported,
-            "readiness polling is only implemented on unix",
-        )
-    }
-
-    /// Stub poller: every operation fails with `Unsupported`.
-    #[derive(Debug)]
-    pub struct Poller {}
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Err(unsupported())
-        }
-        pub fn register(&mut self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
-            Err(unsupported())
-        }
-        pub fn modify(&mut self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
-            Err(unsupported())
-        }
-        pub fn deregister(&mut self, _fd: i32) -> io::Result<()> {
-            Err(unsupported())
-        }
-        pub fn wait(
-            &mut self,
-            _events: &mut Vec<Event>,
-            _timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            Err(unsupported())
-        }
-    }
-}
-
 /// A readiness poller over raw file descriptors (see module docs).
 ///
 /// Not `Sync`: a poller belongs to the one reactor thread that waits on
@@ -390,8 +345,7 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// Creates a poller. Fails with [`std::io::ErrorKind::Unsupported`]
-    /// on platforms without a readiness facility.
+    /// Creates a poller.
     pub fn new() -> io::Result<Poller> {
         Ok(Poller {
             inner: sys::Poller::new()?,
@@ -439,9 +393,7 @@ impl Poller {
 /// the `cgra-router` uses it while waiting for a shard's response, so a
 /// router shutdown (or a per-request deadline) interrupts the wait at
 /// `tick` granularity instead of pinning the connection thread on a
-/// dead upstream. Fails with [`std::io::ErrorKind::Unsupported`] on
-/// platforms without a readiness facility; callers fall back to plain
-/// timed reads.
+/// dead upstream.
 pub fn wait_readable(
     fd: Fd,
     timeout: Option<Duration>,
@@ -477,7 +429,7 @@ pub fn wait_readable(
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

@@ -11,7 +11,8 @@
 //! a `listening on …` line to stderr once ready — with `--addr
 //! 127.0.0.1:0` that is how a harness learns the ephemeral port. The
 //! daemon exits after a `shutdown` command has been served and every
-//! in-flight request has completed. Stdio mode serves newline-delimited
+//! in-flight request has completed. If the address cannot be bound or
+//! the reactor cannot be set up, it exits with status 1. Stdio mode serves newline-delimited
 //! requests from stdin until EOF or `shutdown`.
 
 use cgra_serve::server;
@@ -135,17 +136,17 @@ fn main() {
         server::serve_stdio(&service);
         service.initiate_shutdown();
     } else {
-        let (local, accept) = match server::spawn_tcp(Arc::clone(&service), &addr) {
+        let (local, reactor) = match server::spawn_tcp(Arc::clone(&service), &addr) {
             Ok(bound) => bound,
             Err(e) => {
-                eprintln!("cgra-serve: cannot bind {addr}: {e}");
+                eprintln!("cgra-serve: cannot serve on {addr}: {e}");
                 std::process::exit(1);
             }
         };
         eprintln!("listening on {local}");
-        // The accept loop exits once a `shutdown` command flips the flag.
-        if accept.join().is_err() {
-            eprintln!("cgra-serve: accept loop panicked");
+        // The reactor exits once a `shutdown` command flips the flag.
+        if reactor.join().is_err() {
+            eprintln!("cgra-serve: reactor panicked");
         }
     }
     service.join_workers();

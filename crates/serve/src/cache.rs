@@ -4,8 +4,10 @@
 //! answer: the command, the DFG's and architecture's stable
 //! [`content_hash`](cgra_dfg::Dfg::content_hash)es (order-independent,
 //! so a reformatted or reordered graph text still hits), the II bound,
-//! and a fingerprint of *every* [`MapperOptions`] field — two requests
-//! differing only in, say, `seed` or `time_limit` are different keys.
+//! and [`options_fingerprint`], a digest of every [`MapperOptions`] field
+//! but `build_jobs` — two requests differing only in, say, `seed` or
+//! `time_limit` are different keys. The fingerprint is generated from
+//! the option table in [`crate::wire`], so an option cannot be left out.
 //!
 //! The stored value is the rendered `result` JSON text, not the typed
 //! report: a hit replays the first response byte-for-byte, which is the
@@ -22,16 +24,14 @@
 //!   published, corrupt-tolerant at load. Tier-2 hits are promoted back
 //!   into tier 1. A read-only tier 2 lets N daemon processes share one
 //!   warm segment (one writer per shard; see DESIGN.md §13).
-//!
-//! Entries persisted by pre-segment daemons (`<dir>/<key:016x>.json`)
-//! are still readable: a miss on both tiers falls back to the legacy
-//! per-key file and, when found, migrates the entry into the segment.
 
 use crate::segment::{SegmentStats, SegmentStore};
 use cgra_dfg::ContentHasher;
-use cgra_mapper::{MapperOptions, Objective};
+use cgra_mapper::MapperOptions;
 use std::collections::HashMap;
 use std::path::PathBuf;
+
+pub use crate::wire::options_fingerprint;
 
 /// Computes the content-addressed cache key for a request.
 ///
@@ -50,44 +50,6 @@ pub fn request_key(
     h.write_u64(arch_hash);
     h.write_u64(ii as u64);
     h.write_u64(options_fingerprint(options));
-    h.finish()
-}
-
-/// A stable digest over every [`MapperOptions`] field. Any option that
-/// can change the report — verdict, statistics, or even just the time
-/// limit recorded in a timeout — must feed this digest.
-pub fn options_fingerprint(o: &MapperOptions) -> u64 {
-    let mut h = ContentHasher::new("cgra-serve-options");
-    h.write_opt_i64(o.time_limit.map(|d| d.as_micros() as i64));
-    h.write_u64(o.optimize as u64);
-    match o.objective {
-        Objective::RoutingResources => h.write_str("routing"),
-        Objective::Weighted(w) => {
-            h.write_str("weighted");
-            h.write_i64(w.wire);
-            h.write_i64(w.mux);
-            h.write_i64(w.register);
-        }
-    }
-    h.write_u64(o.commutativity as u64);
-    h.write_u64(o.mux_exclusivity as u64);
-    h.write_u64(o.redundant_capacity as u64);
-    h.write_u64(o.seed);
-    h.write_u64(o.warm_start as u64);
-    h.write_u64(o.threads as u64);
-    h.write_u64(o.presolve as u64);
-    h.write_u64(o.reach_reduction as u64);
-    h.write_opt_i64(o.conflict_limit.map(|n| n as i64));
-    h.write_opt_i64(o.objective_stop);
-    h.write_u64(o.explain_infeasible as u64);
-    h.write_u64(o.certify as u64);
-    h.write_opt_i64(o.mem_limit.map(|n| n as i64));
-    h.write_u64(o.anneal_fallback as u64);
-    h.write_u64(o.seed_probes as u64);
-    h.write_opt_i64(o.probe_budget.map(|d| d.as_micros() as i64));
-    // `build_jobs` is deliberately *not* hashed: the built model is
-    // bit-identical at every job count, so requests differing only in
-    // build parallelism share one cache entry.
     h.finish()
 }
 
@@ -124,7 +86,7 @@ struct Entry {
 pub enum CacheTier {
     /// In-memory LRU.
     Memory,
-    /// On-disk segment (or a legacy per-key file).
+    /// On-disk segment.
     Disk,
 }
 
@@ -210,8 +172,8 @@ impl ResultCache {
         self.segment.as_ref().map(SegmentStore::stats)
     }
 
-    /// Looks up a stored result text, consulting the segment (and the
-    /// legacy per-key files) on a memory miss. Reports which tier hit.
+    /// Looks up a stored result text, consulting the segment on a memory
+    /// miss. Reports which tier hit.
     pub fn get(&mut self, key: u64) -> Option<(String, CacheTier)> {
         self.tick += 1;
         if let Some(e) = self.entries.get_mut(&key) {
@@ -225,42 +187,22 @@ impl ResultCache {
     }
 
     fn disk_get(&mut self, key: u64) -> Option<String> {
-        if let Some(seg) = &mut self.segment {
-            if let Some(text) = seg.get(key) {
-                return Some(text);
-            }
-            // A read-only sharer may simply not have seen the owning
-            // writer's append yet.
-            if self.read_only && seg.refresh().unwrap_or(0) > 0 {
-                if let Some(text) = seg.get(key) {
-                    return Some(text);
-                }
-            }
-        } else if self.read_only {
+        if self.segment.is_none() && self.read_only {
             // The writer may not have created the segment until after
             // this reader started.
-            if let Some(dir) = &self.dir {
-                let path = dir.join("cache.seg");
-                if let Ok(seg) = SegmentStore::open(&path, false) {
-                    self.segment = Some(seg);
-                    return self.disk_get(key);
-                }
-            }
+            let path = self.dir.as_ref()?.join("cache.seg");
+            self.segment = Some(SegmentStore::open(&path, false).ok()?);
         }
-        // Legacy pre-segment layout: one file per key.
-        let path = self.dir.as_ref()?.join(format!("{key:016x}.json"));
-        let text = std::fs::read_to_string(path).ok()?;
-        // A truncated or hand-edited file must not be replayed as a
-        // result; a quick structural check keeps the cache honest.
-        if crate::json::Json::parse(&text).is_err() {
-            return None;
+        let seg = self.segment.as_mut()?;
+        if let Some(text) = seg.get(key) {
+            return Some(text);
         }
-        // Migrate into the segment so the next daemon generation warms
-        // without the per-file layout.
-        if let Some(seg) = &mut self.segment {
-            let _ = seg.append(key, &text);
+        // A read-only sharer may simply not have seen the owning
+        // writer's append yet.
+        if self.read_only && seg.refresh().unwrap_or(0) > 0 {
+            return seg.get(key);
         }
-        Some(text)
+        None
     }
 
     /// Stores a rendered result text (written through to the segment —
@@ -461,22 +403,6 @@ mod tests {
         assert_eq!(fresh.disk_hits(), 1);
         // Promoted to tier 1: the second read is a memory hit.
         assert_eq!(fresh.get(7).unwrap().1, CacheTier::Memory);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_per_key_files_still_load_and_corrupt_ones_do_not() {
-        let dir = std::env::temp_dir().join(format!("cgra-serve-legacy-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(format!("{:016x}.json", 5u64)), "{\"y\":2}").unwrap();
-        std::fs::write(dir.join(format!("{:016x}.json", 8u64)), "{oops").unwrap();
-        let mut c = ResultCache::new(4, Some(dir.clone()));
-        assert_eq!(text_of(c.get(5)).as_deref(), Some("{\"y\":2}"));
-        // Corrupt entries are ignored, not replayed.
-        assert!(c.get(8).is_none());
-        // The legacy entry was migrated into the segment.
-        assert_eq!(c.segment_stats().unwrap().entries, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

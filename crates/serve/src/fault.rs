@@ -3,7 +3,7 @@
 //! The resilience claims in DESIGN.md §15 — no cross-delivered
 //! responses, torn segment tails never surface, the router converges
 //! after a shard dies — are only worth stating if something actively
-//! tries to break them. This module is that something: a [`FaultPlan`]
+//! tries to break them. This module is that something: a `FaultPlan`
 //! picks, from a `cgra-rng` seed, which *global* events to sabotage
 //! (the Nth solve panics, the Mth segment append tears mid-record, the
 //! Kth router forward drops mid-frame), and tiny hooks compiled into
@@ -18,10 +18,10 @@
 //!   segments in the process, so one plan can span a whole in-process
 //!   fleet (the chaos suites run several shards in one test binary).
 //! * **Zero cost when disabled**: without the `fault-inject` feature
-//!   every hook is an empty inline function and [`FaultPlan`] cannot be
+//!   every hook is an empty inline function and `FaultPlan` cannot be
 //!   installed — production builds carry no branches.
 //!
-//! Tests that install plans must serialize through [`install`]'s guard
+//! Tests that install plans must serialize through `install`'s guard
 //! (it holds a process-wide lock), otherwise two tests' plans would
 //! race on the shared counters.
 

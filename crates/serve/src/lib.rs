@@ -24,7 +24,10 @@
 //! The protocol is newline-delimited JSON over TCP or stdio (see
 //! [`wire`]); graphs travel in the repo's existing text formats, so
 //! every artifact on the wire is also usable with the offline tools.
-//! Everything is `std`-only — no async runtime, no serde.
+//! Everything is `std`-only — no async runtime, no serde. The crate is
+//! unix-only: its TCP transport is a readiness-polling reactor (epoll on
+//! Linux, `poll(2)` on other unixes) and the cache segment is read
+//! through `mmap`.
 //!
 //! # Quick start
 //!
@@ -56,11 +59,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+// The transport is a readiness-polling reactor over unix sockets and the
+// cache segment is read through `mmap`; there is no other transport or
+// segment reader to fall back to.
+#[cfg(not(target_family = "unix"))]
+compile_error!("cgra-serve is unix-only (epoll on Linux, poll(2) on other unixes)");
+
 pub mod cache;
 pub mod client;
 pub mod fault;
 pub mod json;
-pub mod reactor;
+mod reactor;
 pub mod router;
 pub mod segment;
 pub mod server;

@@ -50,6 +50,7 @@ use cgra_dfg::ContentHasher;
 use cgra_rng::Rng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -501,9 +502,9 @@ impl Router {
     }
 
     /// Accepts client connections on `listener` until shutdown,
-    /// spawning one handler thread per connection. Mirrors the daemon's
-    /// fallback transport; the router's work per line is so small that
-    /// thread-per-connection is the right trade here.
+    /// spawning one handler thread per connection: the router's work per
+    /// line is so small that thread-per-connection is the right trade
+    /// here.
     pub fn serve(self: &Arc<Router>, listener: TcpListener) {
         const ACCEPT_POLL: Duration = Duration::from_millis(10);
         let _ = listener.set_nonblocking(true);
@@ -533,7 +534,7 @@ impl Router {
 
     /// Serves one client connection: reads request lines, routes each,
     /// writes the response line. Partial lines re-assemble across read
-    /// timeouts (same pattern as the daemon's fallback transport).
+    /// timeouts.
     fn serve_connection(self: Arc<Router>, stream: TcpStream) {
         const READ_POLL: Duration = Duration::from_millis(100);
         let _ = stream.set_nodelay(true);
@@ -632,9 +633,9 @@ impl Upstreams {
         if self.conns[i].is_none() {
             let stream = TcpStream::connect(addr)?;
             stream.set_nodelay(true)?;
-            // The read path waits for readiness via the poller where
-            // available; the socket timeout is the portable backstop
-            // that keeps a read from pinning the thread forever.
+            // The read path waits for readiness via the poller; the
+            // socket timeout is the backstop that keeps a read woken by
+            // a spurious readiness from pinning the thread.
             stream.set_read_timeout(Some(READ_TICK))?;
             self.conns[i] = Some(Upstream {
                 stream,
@@ -651,9 +652,9 @@ const READ_TICK: Duration = Duration::from_millis(100);
 
 impl Upstream {
     /// Reads one response line (without the newline), waiting at most
-    /// `timeout`, cancellable by `stop`. Uses the readiness poller for
-    /// the wait where available so a dead or slow-loris upstream costs
-    /// one blocked poll, not a pinned read.
+    /// `timeout`, cancellable by `stop`. Waits on the readiness poller,
+    /// so a dead or slow-loris upstream costs one blocked poll, not a
+    /// pinned read.
     fn read_line(&mut self, timeout: Duration, stop: &AtomicBool) -> std::io::Result<String> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -701,25 +702,8 @@ impl Upstream {
 
     /// Waits up to `within` for the socket to become readable. `true`
     /// means a read will make progress; `false` means try again (the
-    /// caller re-checks stop/deadline). Falls back to "just read with
-    /// the socket timeout" where no poller exists.
-    #[cfg(unix)]
+    /// caller re-checks stop/deadline).
     fn await_readable(&self, within: Duration, stop: &AtomicBool) -> std::io::Result<bool> {
-        use std::os::unix::io::AsRawFd;
-        match cgra_par::reactor::wait_readable(
-            self.stream.as_raw_fd(),
-            Some(within),
-            stop,
-            READ_TICK,
-        ) {
-            Ok(ready) => Ok(ready),
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => Ok(true),
-            Err(e) => Err(e),
-        }
-    }
-
-    #[cfg(not(unix))]
-    fn await_readable(&self, _within: Duration, _stop: &AtomicBool) -> std::io::Result<bool> {
-        Ok(true) // the socket read timeout (READ_TICK) bounds the read
+        cgra_par::reactor::wait_readable(self.stream.as_raw_fd(), Some(within), stop, READ_TICK)
     }
 }

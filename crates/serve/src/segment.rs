@@ -8,9 +8,8 @@
 //!   appended and fsynced before the in-memory index publishes them —
 //!   a crash can only ever produce a torn *tail*, never a torn middle;
 //! * **reads** go through an `mmap` of the file (raw FFI against the
-//!   already-linked C library; a plain `pread` fallback keeps non-unix
-//!   builds working), so N daemon processes sharing one segment share
-//!   one page-cache copy of the warm state;
+//!   already-linked C library), so N daemon processes sharing one
+//!   segment share one page-cache copy of the warm state;
 //! * the **index** (key → offset) is rebuilt by a forward scan at open.
 //!   The scan is corrupt-tolerant: the first record whose magic, bounds
 //!   or payload hash fails validation marks the logical end of file —
@@ -54,10 +53,9 @@ fn payload_hash(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Read view: mmap on unix, buffered pread elsewhere
+// Read view: mmap
 // ---------------------------------------------------------------------
 
-#[cfg(unix)]
 mod view {
     use std::fs::File;
     use std::io;
@@ -120,33 +118,6 @@ mod view {
         fn drop(&mut self) {
             // SAFETY: exactly the region mapped above.
             unsafe { munmap(self.ptr, self.len) };
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod view {
-    use std::fs::File;
-    use std::io::{self, Read, Seek, SeekFrom};
-
-    /// Portable fallback: the file prefix is read into memory once per
-    /// (re)map. Loses cross-process page sharing, keeps the format.
-    #[derive(Debug)]
-    pub struct View {
-        buf: Vec<u8>,
-    }
-
-    impl View {
-        pub fn map(file: &File, len: usize) -> io::Result<View> {
-            let mut f = file.try_clone()?;
-            f.seek(SeekFrom::Start(0))?;
-            let mut buf = vec![0u8; len];
-            f.read_exact(&mut buf)?;
-            Ok(View { buf })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            &self.buf
         }
     }
 }
@@ -438,14 +409,11 @@ impl SegmentStore {
 /// directories cannot be fsynced on every platform, and a failure only
 /// re-opens the crash window the fsync was closing.
 fn sync_parent_dir(path: &Path) {
-    #[cfg(unix)]
     if let Some(dir) = path.parent() {
         if let Ok(d) = File::open(dir) {
             let _ = d.sync_all();
         }
     }
-    #[cfg(not(unix))]
-    let _ = path;
 }
 
 #[cfg(test)]

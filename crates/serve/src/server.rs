@@ -1,140 +1,35 @@
 //! Transport front-ends: newline-delimited JSON over TCP or stdio.
 //!
-//! On unix the TCP front-end is the event-driven reactor in
-//! [`crate::reactor`]: one thread multiplexes every connection through
-//! OS readiness polling, with no sleep loops anywhere on the path. On
-//! platforms without readiness polling (and as a runtime fallback if
-//! the poller cannot be created) each connection gets its own thread —
-//! the original transport, kept because it needs nothing from the OS
-//! beyond blocking sockets.
-//!
-//! Both are thin shuttles: the reactor dispatches through
-//! [`Service::handle_async`], the threaded paths through the blocking
-//! [`Service::handle`].
+//! The TCP front-end is the event-driven reactor in `reactor.rs`: one
+//! thread multiplexes every connection through OS readiness polling and
+//! dispatches through [`Service::handle_async`]. The stdio front-end
+//! answers one line at a time through the blocking [`Service::handle`].
 
+use crate::reactor::Reactor;
 use crate::service::Service;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Binds `addr` and serves until [`Service::initiate_shutdown`] fires.
-/// Returns the bound address (useful with port 0) and the transport
+/// Returns the bound address (useful with port 0) and the reactor
 /// thread handle; joining it guarantees no further connections are
 /// accepted and every accepted connection has drained.
+///
+/// The listener, the poller, the waker and their registrations are set
+/// up on the calling thread, so any failure is returned here and no
+/// thread is started.
 pub fn spawn_tcp(
     service: Arc<Service>,
     addr: &str,
 ) -> std::io::Result<(SocketAddr, std::thread::JoinHandle<()>)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let reactor = Reactor::new(service, listener)?;
     let handle = std::thread::Builder::new()
         .name("cgra-serve-reactor".to_owned())
-        .spawn(move || serve_transport(service, listener))?;
+        .spawn(move || reactor.run())?;
     Ok((local, handle))
-}
-
-#[cfg(unix)]
-fn serve_transport(service: Arc<Service>, listener: TcpListener) {
-    crate::reactor::serve(service, listener);
-}
-
-#[cfg(not(unix))]
-fn serve_transport(service: Arc<Service>, listener: TcpListener) {
-    accept_loop(&service, &listener);
-}
-
-/// How often the threaded accept loop re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// The thread-per-connection fallback transport (non-unix platforms,
-/// or a unix where creating the poller failed at runtime).
-pub(crate) fn accept_loop(service: &Arc<Service>, listener: &TcpListener) {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !service.is_shutting_down() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let service = Arc::clone(service);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("cgra-serve-conn".to_owned())
-                    .spawn(move || serve_connection(&service, stream))
-                {
-                    connections.push(handle);
-                }
-                connections.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => {
-                eprintln!("cgra-serve: accept failed: {e}");
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
-    // Let in-flight connections deliver their final responses (the
-    // service has already cancelled their solves).
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-/// How long a fallback connection read blocks before re-checking for
-/// shutdown. Bounds how long a dormant client can delay the daemon's
-/// exit.
-const READ_POLL: Duration = Duration::from_millis(100);
-
-fn serve_connection(service: &Arc<Service>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    // A finite read timeout lets an idle connection notice shutdown
-    // instead of pinning the accept loop's join on a client that never
-    // sends another byte.
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // `read_line` may return a timeout error with a partial line already
-    // appended; the buffer persists across iterations so the line
-    // re-assembles once the rest arrives.
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF: client closed
-            Ok(_) => {
-                if !line.ends_with('\n') {
-                    // Partial final line without newline (client is about
-                    // to close, or mid-write) — wait for the rest or EOF.
-                    continue;
-                }
-                let request = std::mem::take(&mut line);
-                if request.trim().is_empty() {
-                    continue;
-                }
-                let response = service.handle(request.trim_end());
-                if writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if service.is_shutting_down() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return, // client went away
-        }
-    }
 }
 
 /// Serves requests from stdin, answering on stdout, until EOF or a

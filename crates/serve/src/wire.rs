@@ -36,7 +36,7 @@
 
 use crate::json::{obj, s, Json};
 use bilp::{Certificate, EngineStats, IncumbentSource, PresolveStats, SolveStats};
-use cgra_dfg::Dfg;
+use cgra_dfg::{ContentHasher, Dfg};
 use cgra_mapper::{
     text as mapper_text, BuildInfeasible, FormulationStats, IiAttempt, MapOutcome, MapReport,
     MapperOptions, MinIiReport, MinIiTotals, Objective, ObjectiveWeights, VerdictProvenance,
@@ -338,8 +338,8 @@ impl Served {
             cache_hit: doc.get("cache").and_then(Json::as_str) == Some("hit"),
             mrrg_warm: doc.get("mrrg").and_then(Json::as_str) == Some("warm"),
             coalesced: doc.get("coalesced").and_then(Json::as_bool) == Some(true),
-            wait: get_duration(doc, "wait_us")?,
-            solve: get_duration(doc, "solve_us")?,
+            wait: member(doc, "wait_us")?,
+            solve: member(doc, "solve_us")?,
         })
     }
 }
@@ -348,228 +348,227 @@ impl Served {
 // MapperOptions
 // ---------------------------------------------------------------------
 
-/// Encodes options in full (every field explicit, defaults included).
-pub fn encode_options(o: &MapperOptions) -> Json {
-    let objective = match o.objective {
-        Objective::RoutingResources => s("routing"),
-        Objective::Weighted(w) => obj(vec![
-            ("wire", Json::Int(w.wire)),
-            ("mux", Json::Int(w.mux)),
-            ("register", Json::Int(w.register)),
-        ]),
+/// Declares the option table: each row names a [`MapperOptions`] field,
+/// its wire key, its [`Codec`] and whether it enters the cache key
+/// (`keyed`) or not (`unkeyed`). Generates [`encode_options`],
+/// [`decode_options`] and [`options_fingerprint`], which destructure
+/// `MapperOptions` without `..`: a field with no row does not compile.
+macro_rules! option_table {
+    ($($field:ident: $key:literal, $codec:ty, $keyed:ident;)*) => {
+        /// Encodes options in full (every field explicit, defaults
+        /// included), in table order.
+        pub fn encode_options(o: &MapperOptions) -> Json {
+            let MapperOptions { $($field),* } = *o;
+            obj(vec![$(($key, <$codec as Codec<_>>::encode($field))),*])
+        }
+
+        /// Decodes options: absent fields keep their
+        /// [`MapperOptions::default`] values, so a request may specify
+        /// only what it cares about. `None` / `null` means all defaults.
+        pub fn decode_options(doc: Option<&Json>) -> Result<MapperOptions, WireError> {
+            let doc = match doc {
+                None | Some(Json::Null) => return Ok(MapperOptions::default()),
+                Some(doc @ Json::Object(_)) => doc,
+                Some(_) => return Err(bad("`options` must be an object")),
+            };
+            let MapperOptions { $($field),* } = MapperOptions::default();
+            $(let $field = match doc.get($key) {
+                Some(v) => <$codec as Codec<_>>::decode(v, $key)?,
+                None => $field,
+            };)*
+            Ok(MapperOptions { $($field),* })
+        }
+
+        /// A stable digest over every keyed option: two requests that
+        /// differ in any of them — verdict-changing or not, down to the
+        /// time limit a timeout records — are different cache keys.
+        pub fn options_fingerprint(o: &MapperOptions) -> u64 {
+            let MapperOptions { $($field),* } = *o;
+            let mut h = ContentHasher::new("cgra-serve-options");
+            $(option_table!(@hash $keyed, $codec, $field, h);)*
+            h.finish()
+        }
     };
-    obj(vec![
-        (
-            "time_limit_us",
-            match o.time_limit {
-                Some(d) => Json::Int(d.as_micros() as i64),
-                None => Json::Null,
-            },
-        ),
-        ("optimize", Json::Bool(o.optimize)),
-        ("objective", objective),
-        ("commutativity", Json::Bool(o.commutativity)),
-        ("mux_exclusivity", Json::Bool(o.mux_exclusivity)),
-        ("redundant_capacity", Json::Bool(o.redundant_capacity)),
-        ("seed", Json::Int(o.seed as i64)),
-        ("warm_start", Json::Bool(o.warm_start)),
-        ("threads", Json::Int(o.threads as i64)),
-        ("presolve", Json::Bool(o.presolve)),
-        ("reach_reduction", Json::Bool(o.reach_reduction)),
-        (
-            "conflict_limit",
-            o.conflict_limit.map_or(Json::Null, |n| Json::Int(n as i64)),
-        ),
-        (
-            "objective_stop",
-            o.objective_stop.map_or(Json::Null, Json::Int),
-        ),
-        ("explain_infeasible", Json::Bool(o.explain_infeasible)),
-        ("certify", Json::Bool(o.certify)),
-        (
-            "mem_limit",
-            o.mem_limit.map_or(Json::Null, |n| Json::Int(n as i64)),
-        ),
-        ("build_jobs", Json::Int(o.build_jobs as i64)),
-        ("anneal_fallback", Json::Bool(o.anneal_fallback)),
-        ("seed_probes", Json::Int(o.seed_probes as i64)),
-        (
-            "probe_budget_us",
-            match o.probe_budget {
-                Some(d) => Json::Int(d.as_micros() as i64),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-/// Decodes options: absent fields keep their [`MapperOptions::default`]
-/// values, so a request may specify only what it cares about. `None` /
-/// absent object means all defaults.
-pub fn decode_options(doc: Option<&Json>) -> Result<MapperOptions, WireError> {
-    let mut o = MapperOptions::default();
-    let doc = match doc {
-        None => return Ok(o),
-        Some(Json::Null) => return Ok(o),
-        Some(d) => d,
+    (@hash keyed, $codec:ty, $field:ident, $h:ident) => {
+        <$codec as Codec<_>>::hash($field, &mut $h)
     };
-    if !matches!(doc, Json::Object(_)) {
-        return Err(WireError::new(
-            ErrorKind::Request,
-            "`options` must be an object",
-        ));
-    }
-    if let Some(v) = doc.get("time_limit_us") {
-        o.time_limit = opt_duration(v, "time_limit_us")?;
-    }
-    if let Some(v) = doc.get("optimize") {
-        o.optimize = req_bool(v, "optimize")?;
-    }
-    if let Some(v) = doc.get("objective") {
-        o.objective = match v {
-            Json::Str(tag) if tag == "routing" => Objective::RoutingResources,
-            Json::Object(_) => Objective::Weighted(ObjectiveWeights {
-                wire: v.get("wire").and_then(Json::as_i64).unwrap_or(1),
-                mux: v.get("mux").and_then(Json::as_i64).unwrap_or(2),
-                register: v.get("register").and_then(Json::as_i64).unwrap_or(6),
-            }),
-            _ => {
-                return Err(WireError::new(
-                    ErrorKind::Request,
-                    "`objective` must be \"routing\" or a weights object",
-                ))
-            }
-        };
-    }
-    if let Some(v) = doc.get("commutativity") {
-        o.commutativity = req_bool(v, "commutativity")?;
-    }
-    if let Some(v) = doc.get("mux_exclusivity") {
-        o.mux_exclusivity = req_bool(v, "mux_exclusivity")?;
-    }
-    if let Some(v) = doc.get("redundant_capacity") {
-        o.redundant_capacity = req_bool(v, "redundant_capacity")?;
-    }
-    if let Some(v) = doc.get("seed") {
-        o.seed = v.as_u64().ok_or_else(|| {
-            WireError::new(ErrorKind::Request, "`seed` must be a non-negative integer")
-        })?;
-    }
-    if let Some(v) = doc.get("warm_start") {
-        o.warm_start = req_bool(v, "warm_start")?;
-    }
-    if let Some(v) = doc.get("threads") {
-        let n = v.as_u64().ok_or_else(|| {
-            WireError::new(
-                ErrorKind::Request,
-                "`threads` must be a non-negative integer",
-            )
-        })?;
-        if n > 64 {
-            return Err(WireError::new(
-                ErrorKind::Request,
-                "`threads` must be <= 64",
-            ));
-        }
-        o.threads = n as usize;
-    }
-    if let Some(v) = doc.get("presolve") {
-        o.presolve = req_bool(v, "presolve")?;
-    }
-    if let Some(v) = doc.get("reach_reduction") {
-        o.reach_reduction = req_bool(v, "reach_reduction")?;
-    }
-    if let Some(v) = doc.get("conflict_limit") {
-        o.conflict_limit = match v {
-            Json::Null => None,
-            _ => Some(v.as_u64().ok_or_else(|| {
-                WireError::new(
-                    ErrorKind::Request,
-                    "`conflict_limit` must be null or an integer",
-                )
-            })?),
-        };
-    }
-    if let Some(v) = doc.get("objective_stop") {
-        o.objective_stop = match v {
-            Json::Null => None,
-            _ => Some(v.as_i64().ok_or_else(|| {
-                WireError::new(
-                    ErrorKind::Request,
-                    "`objective_stop` must be null or an integer",
-                )
-            })?),
-        };
-    }
-    if let Some(v) = doc.get("explain_infeasible") {
-        o.explain_infeasible = req_bool(v, "explain_infeasible")?;
-    }
-    if let Some(v) = doc.get("certify") {
-        o.certify = req_bool(v, "certify")?;
-    }
-    if let Some(v) = doc.get("mem_limit") {
-        o.mem_limit = match v {
-            Json::Null => None,
-            _ => Some(v.as_u64().ok_or_else(|| {
-                WireError::new(ErrorKind::Request, "`mem_limit` must be null or an integer")
-            })? as usize),
-        };
-    }
-    if let Some(v) = doc.get("build_jobs") {
-        let n = v.as_u64().ok_or_else(|| {
-            WireError::new(
-                ErrorKind::Request,
-                "`build_jobs` must be a non-negative integer",
-            )
-        })?;
-        if n > 64 {
-            return Err(WireError::new(
-                ErrorKind::Request,
-                "`build_jobs` must be <= 64",
-            ));
-        }
-        o.build_jobs = n as usize;
-    }
-    if let Some(v) = doc.get("anneal_fallback") {
-        o.anneal_fallback = req_bool(v, "anneal_fallback")?;
-    }
-    if let Some(v) = doc.get("seed_probes") {
-        let n = v.as_u64().ok_or_else(|| {
-            WireError::new(
-                ErrorKind::Request,
-                "`seed_probes` must be a non-negative integer",
-            )
-        })?;
-        if n > 64 {
-            return Err(WireError::new(
-                ErrorKind::Request,
-                "`seed_probes` must be <= 64",
-            ));
-        }
-        o.seed_probes = n as usize;
-    }
-    if let Some(v) = doc.get("probe_budget_us") {
-        o.probe_budget = opt_duration(v, "probe_budget_us")?;
-    }
-    Ok(o)
+    (@hash unkeyed, $codec:ty, $field:ident, $h:ident) => {
+        let _ = $field;
+    };
 }
 
-fn req_bool(v: &Json, key: &str) -> Result<bool, WireError> {
-    v.as_bool()
-        .ok_or_else(|| WireError::new(ErrorKind::Request, format!("`{key}` must be a boolean")))
+option_table! {
+    time_limit:         "time_limit_us",      OptCount,       keyed;
+    optimize:           "optimize",           Flag,           keyed;
+    objective:          "objective",          ObjectiveCodec, keyed;
+    commutativity:      "commutativity",      Flag,           keyed;
+    mux_exclusivity:    "mux_exclusivity",    Flag,           keyed;
+    redundant_capacity: "redundant_capacity", Flag,           keyed;
+    seed:               "seed",               Seed,           keyed;
+    warm_start:         "warm_start",         Flag,           keyed;
+    threads:            "threads",            Count,          keyed;
+    presolve:           "presolve",           Flag,           keyed;
+    reach_reduction:    "reach_reduction",    Flag,           keyed;
+    conflict_limit:     "conflict_limit",     OptCount,       keyed;
+    objective_stop:     "objective_stop",     OptInt,         keyed;
+    explain_infeasible: "explain_infeasible", Flag,           keyed;
+    certify:            "certify",            Flag,           keyed;
+    mem_limit:          "mem_limit",          OptCount,       keyed;
+    // The built model is bit-identical at every job count, so requests
+    // differing only in build parallelism share one cache entry.
+    build_jobs:         "build_jobs",         Count,          unkeyed;
+    anneal_fallback:    "anneal_fallback",    Flag,           keyed;
+    seed_probes:        "seed_probes",        Count,          keyed;
+    probe_budget:       "probe_budget_us",    OptCount,       keyed;
 }
 
-fn opt_duration(v: &Json, key: &str) -> Result<Option<Duration>, WireError> {
+/// How one option travels: its JSON form, its decoder (`key` names the
+/// option in errors) and its bytes in [`options_fingerprint`].
+trait Codec<T> {
+    fn encode(v: T) -> Json;
+    fn decode(v: &Json, key: &str) -> Result<T, WireError>;
+    fn hash(v: T, h: &mut ContentHasher);
+}
+
+/// `true` / `false`.
+struct Flag;
+/// A non-negative integer, at most 64 (thread, job and probe counts).
+struct Count;
+/// `null` or a non-negative integer: a count, or a duration in whole
+/// microseconds.
+struct OptCount;
+/// `null` or any integer.
+struct OptInt;
+/// `"routing"`, or an object of integer weights; absent weights take
+/// their [`ObjectiveWeights::default`] values.
+struct ObjectiveCodec;
+/// Any `u64`, carried as the two's-complement `i64` the encoder writes.
+struct Seed;
+
+impl Codec<bool> for Flag {
+    fn encode(v: bool) -> Json {
+        Json::Bool(v)
+    }
+    fn decode(v: &Json, key: &str) -> Result<bool, WireError> {
+        v.as_bool()
+            .ok_or_else(|| bad(format!("`{key}` must be a boolean")))
+    }
+    fn hash(v: bool, h: &mut ContentHasher) {
+        h.write_u64(v as u64);
+    }
+}
+
+impl Codec<usize> for Count {
+    fn encode(v: usize) -> Json {
+        Json::Int(v as i64)
+    }
+    fn decode(v: &Json, key: &str) -> Result<usize, WireError> {
+        match v.as_u64() {
+            Some(n) if n <= 64 => Ok(n as usize),
+            Some(_) => Err(bad(format!("`{key}` must be <= 64"))),
+            None => Err(bad(format!("`{key}` must be a non-negative integer"))),
+        }
+    }
+    fn hash(v: usize, h: &mut ContentHasher) {
+        h.write_u64(v as u64);
+    }
+}
+
+/// `null` as `None`, else what `read` accepts.
+fn nullable<T>(
+    v: &Json,
+    key: &str,
+    read: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, WireError> {
     match v {
         Json::Null => Ok(None),
-        _ => Ok(Some(Duration::from_micros(v.as_u64().ok_or_else(
-            || {
-                WireError::new(
-                    ErrorKind::Request,
-                    format!("`{key}` must be null or an integer"),
-                )
-            },
-        )?))),
+        _ => read(v)
+            .map(Some)
+            .ok_or_else(|| bad(format!("`{key}` must be null or an integer"))),
+    }
+}
+
+impl<T: Counter> Codec<Option<T>> for OptCount {
+    fn encode(v: Option<T>) -> Json {
+        v.map_or(Json::Null, |n| n.encode())
+    }
+    fn decode(v: &Json, key: &str) -> Result<Option<T>, WireError> {
+        nullable(v, key, |v| T::decode(Some(v), key).ok())
+    }
+    fn hash(v: Option<T>, h: &mut ContentHasher) {
+        h.write_opt_i64(Self::encode(v).as_i64());
+    }
+}
+
+impl Codec<Option<i64>> for OptInt {
+    fn encode(v: Option<i64>) -> Json {
+        v.map_or(Json::Null, Json::Int)
+    }
+    fn decode(v: &Json, key: &str) -> Result<Option<i64>, WireError> {
+        nullable(v, key, Json::as_i64)
+    }
+    fn hash(v: Option<i64>, h: &mut ContentHasher) {
+        h.write_opt_i64(v);
+    }
+}
+
+impl Codec<Objective> for ObjectiveCodec {
+    fn encode(v: Objective) -> Json {
+        match v {
+            Objective::RoutingResources => s("routing"),
+            Objective::Weighted(w) => obj(vec![
+                ("wire", Json::Int(w.wire)),
+                ("mux", Json::Int(w.mux)),
+                ("register", Json::Int(w.register)),
+            ]),
+        }
+    }
+    fn decode(v: &Json, key: &str) -> Result<Objective, WireError> {
+        match v {
+            Json::Str(tag) if tag == "routing" => Ok(Objective::RoutingResources),
+            Json::Object(_) => {
+                let weight = |name: &str, default: i64| match v.get(name) {
+                    None => Ok(default),
+                    Some(w) => w
+                        .as_i64()
+                        .ok_or_else(|| bad(format!("`{key}.{name}` must be an integer"))),
+                };
+                let d = ObjectiveWeights::default();
+                Ok(Objective::Weighted(ObjectiveWeights {
+                    wire: weight("wire", d.wire)?,
+                    mux: weight("mux", d.mux)?,
+                    register: weight("register", d.register)?,
+                }))
+            }
+            _ => Err(bad(format!(
+                "`{key}` must be \"routing\" or a weights object"
+            ))),
+        }
+    }
+    fn hash(v: Objective, h: &mut ContentHasher) {
+        match v {
+            Objective::RoutingResources => h.write_str("routing"),
+            Objective::Weighted(w) => {
+                h.write_str("weighted");
+                h.write_i64(w.wire);
+                h.write_i64(w.mux);
+                h.write_i64(w.register);
+            }
+        }
+    }
+}
+
+impl Codec<u64> for Seed {
+    fn encode(v: u64) -> Json {
+        Json::Int(v as i64)
+    }
+    fn decode(v: &Json, key: &str) -> Result<u64, WireError> {
+        v.as_i64()
+            .map(|n| n as u64)
+            .ok_or_else(|| bad(format!("`{key}` must be an integer")))
+    }
+    fn hash(v: u64, h: &mut ContentHasher) {
+        h.write_u64(v);
     }
 }
 
@@ -603,8 +602,8 @@ pub fn encode_map_report(dfg: &Dfg, mrrg: &Mrrg, report: &MapReport) -> Json {
     obj(vec![
         ("outcome", outcome),
         ("elapsed_us", Json::Int(report.elapsed.as_micros() as i64)),
-        ("formulation", encode_formulation(&report.formulation)),
-        ("solver", encode_solve_stats(&report.solver)),
+        ("formulation", report.formulation.encode()),
+        ("solver", report.solver.encode()),
         (
             "infeasible_core",
             report.infeasible_core.as_ref().map_or(Json::Null, |core| {
@@ -676,12 +675,9 @@ pub fn decode_map_report(dfg: &Dfg, mrrg: &Mrrg, doc: &Json) -> Result<MapReport
     };
     Ok(MapReport {
         outcome,
-        elapsed: get_duration(doc, "elapsed_us")?,
-        formulation: decode_formulation(
-            doc.get("formulation")
-                .ok_or_else(|| bad("missing `formulation`"))?,
-        )?,
-        solver: decode_solve_stats(doc.get("solver").ok_or_else(|| bad("missing `solver`"))?)?,
+        elapsed: member(doc, "elapsed_us")?,
+        formulation: member(doc, "formulation")?,
+        solver: member(doc, "solver")?,
         infeasible_core,
         certificate,
     })
@@ -727,7 +723,7 @@ pub fn encode_min_ii_report(
                 ),
                 ("conflicts", Json::Int(report.totals.conflicts as i64)),
                 ("decisions", Json::Int(report.totals.decisions as i64)),
-                ("presolve", encode_presolve(&report.totals.presolve)),
+                ("presolve", report.totals.presolve.encode()),
             ]),
         ),
     ])
@@ -774,14 +770,17 @@ pub fn decode_min_ii_report(
         .collect::<Result<Vec<_>, WireError>>()?;
     let totals_doc = doc.get("totals").ok_or_else(|| bad("missing `totals`"))?;
     let totals = MinIiTotals {
-        elapsed: get_duration(totals_doc, "elapsed_us")?,
-        capacity_shortcuts: get_u64(totals_doc, "capacity_shortcuts")? as usize,
-        conflicts: get_u64(totals_doc, "conflicts")?,
-        decisions: get_u64(totals_doc, "decisions")?,
-        presolve: decode_presolve(
-            totals_doc
-                .get("presolve")
-                .ok_or_else(|| bad("totals missing `presolve`"))?,
+        elapsed: member(totals_doc, "elapsed_us")?,
+        capacity_shortcuts: member(totals_doc, "capacity_shortcuts")?,
+        conflicts: member(totals_doc, "conflicts")?,
+        decisions: member(totals_doc, "decisions")?,
+        presolve: Counter::decode(
+            Some(
+                totals_doc
+                    .get("presolve")
+                    .ok_or_else(|| bad("totals missing `presolve`"))?,
+            ),
+            "presolve",
         )?,
     };
     let min_ii = match doc.get("min_ii") {
@@ -821,8 +820,8 @@ pub fn encode_certificate(c: &Certificate) -> Json {
 pub fn decode_certificate(doc: &Json) -> Result<Certificate, WireError> {
     match doc.get("kind").and_then(Json::as_str) {
         Some("certified") => Ok(Certificate::Certified {
-            steps: get_u64(doc, "steps")? as usize,
-            bytes: get_u64(doc, "bytes")? as usize,
+            steps: member(doc, "steps")?,
+            bytes: member(doc, "bytes")?,
         }),
         Some("unchecked") => Ok(Certificate::Unchecked {
             reason: get_str(doc, "reason")?,
@@ -863,8 +862,8 @@ fn decode_infeasible(doc: &Json) -> Result<BuildInfeasible, WireError> {
                 .map_err(|e| bad(format!("bad op kind: {e}")))?,
         }),
         Some("capacity_exceeded") => Ok(BuildInfeasible::CapacityExceeded {
-            matched: get_u64(doc, "matched")? as usize,
-            ops: get_u64(doc, "ops")? as usize,
+            matched: member(doc, "matched")?,
+            ops: member(doc, "ops")?,
         }),
         Some("unroutable_sink") => Ok(BuildInfeasible::UnroutableSink {
             from: get_str(doc, "from")?,
@@ -874,181 +873,176 @@ fn decode_infeasible(doc: &Json) -> Result<BuildInfeasible, WireError> {
     }
 }
 
-fn encode_formulation(f: &FormulationStats) -> Json {
-    obj(vec![
-        ("f_vars", Json::Int(f.f_vars as i64)),
-        ("r_vars", Json::Int(f.r_vars as i64)),
-        ("rs_vars", Json::Int(f.rs_vars as i64)),
-        ("swap_vars", Json::Int(f.swap_vars as i64)),
-        ("constraints", Json::Int(f.constraints as i64)),
-        ("reach_rounds", Json::Int(f.reach_rounds as i64)),
-    ])
+// ---------------------------------------------------------------------
+// Report counters
+// ---------------------------------------------------------------------
+
+/// A counter's JSON form (report counters, and the values of optional
+/// count and duration options). `decode` gets the member as found
+/// (`None` when absent) and names `key` in its error.
+trait Counter: Sized {
+    fn encode(&self) -> Json;
+    fn decode(v: Option<&Json>, key: &str) -> Result<Self, WireError>;
 }
 
-fn decode_formulation(doc: &Json) -> Result<FormulationStats, WireError> {
-    Ok(FormulationStats {
-        f_vars: get_u64(doc, "f_vars")? as usize,
-        r_vars: get_u64(doc, "r_vars")? as usize,
-        rs_vars: get_u64(doc, "rs_vars")? as usize,
-        swap_vars: get_u64(doc, "swap_vars")? as usize,
-        constraints: get_u64(doc, "constraints")? as usize,
-        reach_rounds: get_u64(doc, "reach_rounds")? as usize,
-    })
-}
-
-fn encode_solve_stats(st: &SolveStats) -> Json {
-    let e = &st.engine;
-    obj(vec![
-        (
-            "engine",
-            obj(vec![
-                ("conflicts", Json::Int(e.conflicts as i64)),
-                ("decisions", Json::Int(e.decisions as i64)),
-                ("propagations", Json::Int(e.propagations as i64)),
-                ("restarts", Json::Int(e.restarts as i64)),
-                ("deleted_clauses", Json::Int(e.deleted_clauses as i64)),
-                ("learnt_clauses", Json::Int(e.learnt_clauses as i64)),
-                ("lbd_total", Json::Int(e.lbd_total as i64)),
-                ("deleted_mid", Json::Int(e.deleted_mid as i64)),
-                ("deleted_local", Json::Int(e.deleted_local as i64)),
-                ("kept_core", Json::Int(e.kept_core as i64)),
-                ("kept_mid", Json::Int(e.kept_mid as i64)),
-                ("kept_local", Json::Int(e.kept_local as i64)),
-                ("imported_clauses", Json::Int(e.imported_clauses as i64)),
-                ("exported_clauses", Json::Int(e.exported_clauses as i64)),
-                ("inprocessings", Json::Int(e.inprocessings as i64)),
-                ("vivified_lits", Json::Int(e.vivified_lits as i64)),
-                ("subsumed_clauses", Json::Int(e.subsumed_clauses as i64)),
-                ("strengthened_lits", Json::Int(e.strengthened_lits as i64)),
-                ("gc_runs", Json::Int(e.gc_runs as i64)),
-            ]),
-        ),
-        ("incumbents", Json::Int(st.incumbents as i64)),
-        ("elapsed_us", Json::Int(st.elapsed.as_micros() as i64)),
-        ("workers", Json::Int(st.workers as i64)),
-        (
-            "winner",
-            st.winner.map_or(Json::Null, |w| Json::Int(w as i64)),
-        ),
-        ("presolve", encode_presolve(&st.presolve)),
-        ("worker_panics", Json::Int(st.worker_panics as i64)),
-        ("probe_workers", Json::Int(st.probe_workers as i64)),
-        ("probe_incumbents", Json::Int(st.probe_incumbents as i64)),
-        ("bound_tightenings", Json::Int(st.bound_tightenings as i64)),
-        (
-            "incumbent_source",
-            match st.incumbent_source {
-                Some(IncumbentSource::Solver) => s("solver"),
-                Some(IncumbentSource::Heuristic) => s("heuristic"),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn decode_solve_stats(doc: &Json) -> Result<SolveStats, WireError> {
-    let e = doc.get("engine").ok_or_else(|| bad("missing `engine`"))?;
-    let engine = EngineStats {
-        conflicts: get_u64(e, "conflicts")?,
-        decisions: get_u64(e, "decisions")?,
-        propagations: get_u64(e, "propagations")?,
-        restarts: get_u64(e, "restarts")?,
-        deleted_clauses: get_u64(e, "deleted_clauses")?,
-        learnt_clauses: get_u64(e, "learnt_clauses")?,
-        lbd_total: get_u64(e, "lbd_total")?,
-        deleted_mid: get_u64(e, "deleted_mid")?,
-        deleted_local: get_u64(e, "deleted_local")?,
-        kept_core: get_u64(e, "kept_core")?,
-        kept_mid: get_u64(e, "kept_mid")?,
-        kept_local: get_u64(e, "kept_local")?,
-        imported_clauses: get_u64(e, "imported_clauses")?,
-        exported_clauses: get_u64(e, "exported_clauses")?,
-        // Inprocessing counters arrived with the arena engine; tolerate
-        // their absence so older peers still decode.
-        inprocessings: get_u64(e, "inprocessings").unwrap_or(0),
-        vivified_lits: get_u64(e, "vivified_lits").unwrap_or(0),
-        subsumed_clauses: get_u64(e, "subsumed_clauses").unwrap_or(0),
-        strengthened_lits: get_u64(e, "strengthened_lits").unwrap_or(0),
-        gc_runs: get_u64(e, "gc_runs").unwrap_or(0),
+/// Declares a counter table: one row per field of a stats struct, giving
+/// its wire key and whether decoding is `strict` (an absent or ill-typed
+/// member is an error) or `tolerant` (it reads as the default, so peers
+/// that predate the field still decode). Generates the struct's
+/// [`Counter`] impl, which destructures it without `..`.
+macro_rules! counter_table {
+    ($ty:ident { $($field:ident: $key:literal, $mode:ident;)* }) => {
+        impl Counter for $ty {
+            fn encode(&self) -> Json {
+                let $ty { $($field),* } = self;
+                obj(vec![$(($key, Counter::encode($field))),*])
+            }
+            fn decode(v: Option<&Json>, key: &str) -> Result<$ty, WireError> {
+                let doc = v.ok_or_else(|| bad(format!("missing `{key}`")))?;
+                Ok($ty { $($field: counter_table!(@$mode doc, $key)),* })
+            }
+        }
     };
-    Ok(SolveStats {
-        engine,
-        incumbents: get_u64(doc, "incumbents")?,
-        elapsed: get_duration(doc, "elapsed_us")?,
-        workers: get_u64(doc, "workers")? as u32,
-        winner: match doc.get("winner") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| bad("`winner` must be null or an integer"))?
-                    as u32,
-            ),
-        },
-        presolve: decode_presolve(
-            doc.get("presolve")
-                .ok_or_else(|| bad("missing `presolve`"))?,
-        )?,
-        worker_panics: get_u64(doc, "worker_panics")? as u32,
-        // Probe counters arrived with heuristic incumbent seeding;
-        // tolerate their absence so older peers still decode.
-        probe_workers: get_u64(doc, "probe_workers").unwrap_or(0) as u32,
-        probe_incumbents: get_u64(doc, "probe_incumbents").unwrap_or(0),
-        bound_tightenings: get_u64(doc, "bound_tightenings").unwrap_or(0),
-        incumbent_source: match doc.get("incumbent_source").and_then(Json::as_str) {
+    (@strict $doc:ident, $key:literal) => {
+        Counter::decode($doc.get($key), $key)?
+    };
+    (@tolerant $doc:ident, $key:literal) => {
+        Counter::decode($doc.get($key), $key).unwrap_or_default()
+    };
+}
+
+counter_table!(EngineStats {
+    conflicts:         "conflicts",         strict;
+    decisions:         "decisions",         strict;
+    propagations:      "propagations",      strict;
+    restarts:          "restarts",          strict;
+    deleted_clauses:   "deleted_clauses",   strict;
+    learnt_clauses:    "learnt_clauses",    strict;
+    lbd_total:         "lbd_total",         strict;
+    deleted_mid:       "deleted_mid",       strict;
+    deleted_local:     "deleted_local",     strict;
+    kept_core:         "kept_core",         strict;
+    kept_mid:          "kept_mid",          strict;
+    kept_local:        "kept_local",        strict;
+    imported_clauses:  "imported_clauses",  strict;
+    exported_clauses:  "exported_clauses",  strict;
+    // Inprocessing counters arrived with the arena engine.
+    inprocessings:     "inprocessings",     tolerant;
+    vivified_lits:     "vivified_lits",     tolerant;
+    subsumed_clauses:  "subsumed_clauses",  tolerant;
+    strengthened_lits: "strengthened_lits", tolerant;
+    gc_runs:           "gc_runs",           tolerant;
+});
+
+counter_table!(PresolveStats {
+    vars_before:         "vars_before",         strict;
+    vars_after:          "vars_after",          strict;
+    constraints_before:  "constraints_before",  strict;
+    constraints_after:   "constraints_after",   strict;
+    fixed_vars:          "fixed_vars",          strict;
+    aliased_vars:        "aliased_vars",        strict;
+    removed_constraints: "removed_constraints", strict;
+    strengthened:        "strengthened",        strict;
+    cliques:             "cliques",             strict;
+    probed_vars:         "probed_vars",         strict;
+    failed_literals:     "failed_literals",     strict;
+    rounds:              "rounds",              strict;
+    elapsed:             "elapsed_us",          strict;
+});
+
+counter_table!(FormulationStats {
+    f_vars:       "f_vars",       strict;
+    r_vars:       "r_vars",       strict;
+    rs_vars:      "rs_vars",      strict;
+    swap_vars:    "swap_vars",    strict;
+    constraints:  "constraints",  strict;
+    reach_rounds: "reach_rounds", strict;
+});
+
+counter_table!(SolveStats {
+    engine:            "engine",            strict;
+    incumbents:        "incumbents",        strict;
+    elapsed:           "elapsed_us",        strict;
+    workers:           "workers",           strict;
+    winner:            "winner",            strict;
+    presolve:          "presolve",          strict;
+    worker_panics:     "worker_panics",     strict;
+    // Probe counters arrived with heuristic incumbent seeding.
+    probe_workers:     "probe_workers",     tolerant;
+    probe_incumbents:  "probe_incumbents",  tolerant;
+    bound_tightenings: "bound_tightenings", tolerant;
+    incumbent_source:  "incumbent_source",  tolerant;
+});
+
+/// Integer counters; a missing or ill-typed member is an error.
+macro_rules! int_counter {
+    ($($ty:ty),*) => {$(
+        impl Counter for $ty {
+            fn encode(&self) -> Json {
+                Json::Int(*self as i64)
+            }
+            fn decode(v: Option<&Json>, key: &str) -> Result<$ty, WireError> {
+                v.and_then(Json::as_u64)
+                    .map(|n| n as $ty)
+                    .ok_or_else(|| bad(format!("missing integer field `{key}`")))
+            }
+        }
+    )*};
+}
+
+int_counter!(u64, u32, usize);
+
+/// Whole microseconds.
+impl Counter for Duration {
+    fn encode(&self) -> Json {
+        Json::Int(self.as_micros() as i64)
+    }
+    fn decode(v: Option<&Json>, key: &str) -> Result<Duration, WireError> {
+        Ok(Duration::from_micros(u64::decode(v, key)?))
+    }
+}
+
+/// The portfolio winner: `null` (or absent) when none was recorded.
+impl Counter for Option<u32> {
+    fn encode(&self) -> Json {
+        self.map_or(Json::Null, |w| Json::Int(w as i64))
+    }
+    fn decode(v: Option<&Json>, key: &str) -> Result<Option<u32>, WireError> {
+        match v {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .map(|n| Some(n as u32))
+                .ok_or_else(|| bad(format!("`{key}` must be null or an integer"))),
+        }
+    }
+}
+
+/// `"solver"`, `"heuristic"` or `null`; anything else reads as `null`.
+impl Counter for Option<IncumbentSource> {
+    fn encode(&self) -> Json {
+        match self {
+            Some(IncumbentSource::Solver) => s("solver"),
+            Some(IncumbentSource::Heuristic) => s("heuristic"),
+            None => Json::Null,
+        }
+    }
+    fn decode(v: Option<&Json>, _key: &str) -> Result<Self, WireError> {
+        Ok(match v.and_then(Json::as_str) {
             Some("solver") => Some(IncumbentSource::Solver),
             Some("heuristic") => Some(IncumbentSource::Heuristic),
             _ => None,
-        },
-    })
-}
-
-fn encode_presolve(p: &PresolveStats) -> Json {
-    obj(vec![
-        ("vars_before", Json::Int(p.vars_before as i64)),
-        ("vars_after", Json::Int(p.vars_after as i64)),
-        ("constraints_before", Json::Int(p.constraints_before as i64)),
-        ("constraints_after", Json::Int(p.constraints_after as i64)),
-        ("fixed_vars", Json::Int(p.fixed_vars as i64)),
-        ("aliased_vars", Json::Int(p.aliased_vars as i64)),
-        (
-            "removed_constraints",
-            Json::Int(p.removed_constraints as i64),
-        ),
-        ("strengthened", Json::Int(p.strengthened as i64)),
-        ("cliques", Json::Int(p.cliques as i64)),
-        ("probed_vars", Json::Int(p.probed_vars as i64)),
-        ("failed_literals", Json::Int(p.failed_literals as i64)),
-        ("rounds", Json::Int(p.rounds as i64)),
-        ("elapsed_us", Json::Int(p.elapsed.as_micros() as i64)),
-    ])
-}
-
-fn decode_presolve(doc: &Json) -> Result<PresolveStats, WireError> {
-    Ok(PresolveStats {
-        vars_before: get_u64(doc, "vars_before")?,
-        vars_after: get_u64(doc, "vars_after")?,
-        constraints_before: get_u64(doc, "constraints_before")?,
-        constraints_after: get_u64(doc, "constraints_after")?,
-        fixed_vars: get_u64(doc, "fixed_vars")?,
-        aliased_vars: get_u64(doc, "aliased_vars")?,
-        removed_constraints: get_u64(doc, "removed_constraints")?,
-        strengthened: get_u64(doc, "strengthened")?,
-        cliques: get_u64(doc, "cliques")?,
-        probed_vars: get_u64(doc, "probed_vars")?,
-        failed_literals: get_u64(doc, "failed_literals")?,
-        rounds: get_u64(doc, "rounds")? as u32,
-        elapsed: get_duration(doc, "elapsed_us")?,
-    })
+        })
+    }
 }
 
 fn bad(detail: impl Into<String>) -> WireError {
     WireError::new(ErrorKind::Request, detail)
 }
 
-fn get_u64(doc: &Json, key: &str) -> Result<u64, WireError> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(format!("missing integer field `{key}`")))
+/// Reads counter member `key` of `doc`.
+fn member<T: Counter>(doc: &Json, key: &str) -> Result<T, WireError> {
+    T::decode(doc.get(key), key)
 }
 
 fn get_str(doc: &Json, key: &str) -> Result<String, WireError> {
@@ -1056,8 +1050,4 @@ fn get_str(doc: &Json, key: &str) -> Result<String, WireError> {
         .and_then(Json::as_str)
         .map(str::to_owned)
         .ok_or_else(|| bad(format!("missing string field `{key}`")))
-}
-
-fn get_duration(doc: &Json, key: &str) -> Result<Duration, WireError> {
-    Ok(Duration::from_micros(get_u64(doc, key)?))
 }

@@ -15,8 +15,6 @@
 //!
 //! All randomness is seeded `cgra_rng` — failures reproduce exactly.
 
-#![cfg(unix)]
-
 use cgra_rng::Rng;
 use cgra_serve::json::{obj, s, Json};
 use cgra_serve::server;

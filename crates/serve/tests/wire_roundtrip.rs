@@ -198,10 +198,16 @@ fn options_roundtrip_every_field() {
         seed_probes: 6,
         probe_budget: Some(Duration::from_millis(750)),
     };
-    for options in [MapperOptions::default(), full] {
+    // Seeds from 2^63 up travel as negative integers and must come back.
+    let high_seeds = [1 << 63, u64::MAX].map(|seed| MapperOptions { seed, ..full });
+    for options in [MapperOptions::default(), full]
+        .into_iter()
+        .chain(high_seeds)
+    {
         let doc = encode_options(&options);
         let decoded = decode_options(Some(&doc)).expect("own encoding decodes");
         assert_eq!(doc.to_string(), encode_options(&decoded).to_string());
+        assert_eq!(decoded.seed, options.seed);
         // The content-address fingerprint must survive the trip too —
         // otherwise a client echoing options back would miss the cache.
         assert_eq!(
@@ -215,6 +221,54 @@ fn options_roundtrip_every_field() {
         cgra_serve::cache::options_fingerprint(&MapperOptions::default()),
         cgra_serve::cache::options_fingerprint(&defaulted),
     );
+}
+
+fn decode_options_text(text: &str) -> Result<MapperOptions, WireError> {
+    decode_options(Some(&Json::parse(text).expect("test input is JSON")))
+}
+
+#[test]
+fn seed_decodes_as_twos_complement() {
+    assert_eq!(decode_options_text("{\"seed\":-1}").unwrap().seed, u64::MAX);
+    assert_eq!(
+        decode_options_text("{\"seed\":-9223372036854775808}")
+            .unwrap()
+            .seed,
+        1 << 63
+    );
+    for bad in ["null", "\"7\"", "1.5", "18446744073709551615"] {
+        let err = decode_options_text(&format!("{{\"seed\":{bad}}}")).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Request, "{bad}");
+        assert_eq!(err.detail, "`seed` must be an integer", "{bad}");
+    }
+}
+
+#[test]
+fn objective_weights_must_be_integers() {
+    for (text, weight) in [
+        ("{\"wire\":\"x\",\"mux\":2.5}", "wire"),
+        ("{\"mux\":2.5}", "mux"),
+        ("{\"register\":null}", "register"),
+        ("{\"wire\":1,\"mux\":2,\"register\":true}", "register"),
+        ("{\"wire\":[1]}", "wire"),
+    ] {
+        let err = decode_options_text(&format!("{{\"objective\":{text}}}")).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Request, "{text}");
+        assert_eq!(
+            err.detail,
+            format!("`objective.{weight}` must be an integer"),
+            "{text}"
+        );
+    }
+    // Absent weights take the defaults; present ones are kept.
+    let d = ObjectiveWeights::default();
+    let decoded = decode_options_text("{\"objective\":{\"mux\":-4}}").unwrap();
+    assert_eq!(
+        decoded.objective,
+        Objective::Weighted(ObjectiveWeights { mux: -4, ..d })
+    );
+    let decoded = decode_options_text("{\"objective\":{}}").unwrap();
+    assert_eq!(decoded.objective, Objective::Weighted(d));
 }
 
 #[test]
