@@ -14,10 +14,11 @@
 //! pointer convenience:
 //!
 //! * **Arena clause store** ([`ClauseArena`]): every clause lives in one
-//!   flat `u32` buffer — a three-word header (length + flags, LBD + age,
-//!   activity) followed by the literal codes — addressed by a 32-bit
-//!   [`CRef`]. There is no per-clause heap allocation, and a watch visit
-//!   that must touch clause memory reads one contiguous cache line run.
+//!   flat `u32` buffer — a four-word header (length + flags, LBD + age,
+//!   and the `f64` activity in two words) followed by the literal codes —
+//!   addressed by a 32-bit [`CRef`]. There is no per-clause heap
+//!   allocation, and a watch visit that must touch clause memory reads
+//!   one contiguous cache line run.
 //! * **Bit-packed assignments**: variable values are 2-bit codes packed
 //!   into `u64` words ([`PackedVals`]); saved phases and the conflict
 //!   analysis `seen` marks are 1-bit arrays ([`BitVec`]). The whole
@@ -29,6 +30,43 @@
 //!   the old headers keep the watch lists consistent mid-move. GC runs
 //!   only at decision level 0, where no clause is a reason (level-0
 //!   enqueues drop their reasons), so no reason pointers need fixing.
+//!
+//! # Pseudo-Boolean rows
+//!
+//! An at-most row ([`Linear`]) keeps a running `sum_true` of its true
+//! terms' coefficients, updated at enqueue, and propagates when its
+//! largest coefficient exceeds the slack `bound - sum_true`. Two
+//! structures make a row cost what it does rather than its length,
+//! which matters for the descent's reified bound rows: they span the
+//! whole objective, and the activation coefficient `total - bound`
+//! exceeds the slack whenever the bound is assumed.
+//!
+//! * **Coefficient index.** A row whose coefficients differ keeps its
+//!   term indices sorted by descending coefficient, ties in term order,
+//!   plus its smallest coefficient. A scan visits only the index prefix
+//!   whose coefficients exceed the slack; once the slack drops below
+//!   the smallest coefficient every term qualifies and the scan walks
+//!   the row itself. Rows with one coefficient need no index.
+//! * **True-term list.** Each row lists its currently-true terms in
+//!   trail order. `enqueue` pushes a literal's terms in occurrence order
+//!   and `cancel_until` pops them in exact reverse, so a literal that a
+//!   row repeats pushes and pops one entry per occurrence. The terms
+//!   true before an implied literal are then a prefix of the list, and
+//!   an explanation sorts only that prefix.
+//!
+//! Both live in one engine-wide buffer of `u32` slots, so a row adds no
+//! allocation of its own and a push is a store into room reserved when
+//! the row was added (a row cannot have more true terms than terms).
+//!
+//! Neither changes what the engine does. A scan collects the forced
+//! terms and enqueues them in term order, as a scan of the whole row
+//! would. An explanation sorts its terms by descending coefficient and
+//! then term index — the order a stable sort of the row's true terms
+//! gives — and reads the implied literal's coefficient from its first
+//! occurrence through `lin_occ`. Propagations, explanations and learnt
+//! clauses are therefore those of the full-row propagator, bit for bit.
+//! Scans, explanations and conflict analysis write into scratch buffers
+//! the engine owns, so none allocates per antecedent.
 //!
 //! # Inprocessing
 //!
@@ -548,12 +586,44 @@ struct Watch {
     blocker: Lit,
 }
 
+/// A pseudo-Boolean at-most row: `sum of terms[i].0 over true terms[i].1
+/// <= bound`. See the module docs for how the coefficient index and the
+/// true-term list keep propagation and explanation proportional to the
+/// work they do.
 #[derive(Debug)]
 struct Linear {
     terms: Vec<(u64, Lit)>,
     bound: u64,
     sum_true: u64,
     max_coeff: u64,
+    min_coeff: u64,
+    /// Start of this row's slots in [`Engine::lin_slots`]: one slot per
+    /// term for the list of currently-true term indices, in trail order
+    /// (ties, from a repeated literal, in term order); then, when the
+    /// coefficients differ, the term indices by descending coefficient,
+    /// ties in term order.
+    slots: usize,
+    /// Length of the true-term list.
+    n_true: usize,
+}
+
+impl Linear {
+    /// The currently-true term indices, in trail order.
+    fn trues<'a>(&self, lin_slots: &'a [u32]) -> &'a [u32] {
+        &lin_slots[self.slots..self.slots + self.n_true]
+    }
+
+    /// The term indices by descending coefficient (empty when every
+    /// coefficient is equal).
+    fn by_coeff<'a>(&self, lin_slots: &'a [u32]) -> &'a [u32] {
+        let n = self.terms.len();
+        let len = if self.min_coeff == self.max_coeff {
+            0
+        } else {
+            n
+        };
+        &lin_slots[self.slots + n..self.slots + n + len]
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -708,6 +778,9 @@ pub struct Engine {
     arena: ClauseArena,
     watches: Vec<Vec<Watch>>,
     linears: Vec<Linear>,
+    /// Every row's true-term list and coefficient index, in one buffer
+    /// (see [`Linear::slots`]).
+    lin_slots: Vec<u32>,
     lin_occ: Vec<Vec<(u32, u32)>>,
     order: VarOrder,
     phase: BitVec,
@@ -746,6 +819,13 @@ pub struct Engine {
     /// Level-stamp scratch for LBD computation.
     lbd_stamp: Vec<u64>,
     lbd_counter: u64,
+    /// Scratch: term indices a linear scan forces, then those a linear
+    /// explanation sorts.
+    term_buf: Vec<u32>,
+    /// Scratch: the antecedent literals of one explanation.
+    ante_buf: Vec<Lit>,
+    /// Scratch: the clause conflict analysis learns.
+    learnt_buf: Vec<Lit>,
     /// When present, every clause added to or deleted from the database
     /// beyond the input constraints is recorded here (certification).
     proof: Option<ProofLog>,
@@ -781,6 +861,7 @@ impl Engine {
             arena: ClauseArena::default(),
             watches: vec![Vec::new(); num_vars * 2],
             linears: Vec::new(),
+            lin_slots: Vec::new(),
             lin_occ: vec![Vec::new(); num_vars * 2],
             order,
             phase: BitVec::new(num_vars, false),
@@ -806,6 +887,9 @@ impl Engine {
             last_core: Vec::new(),
             lbd_stamp: vec![0; num_vars + 1],
             lbd_counter: 0,
+            term_buf: Vec::new(),
+            ante_buf: Vec::new(),
+            learnt_buf: Vec::new(),
             proof: None,
             mem_limit: None,
             learnt_bytes: 0,
@@ -1054,11 +1138,24 @@ impl Engine {
             }
             NormConstraint::AtMost { terms, bound } => {
                 let max_coeff = terms.iter().map(|&(a, _)| a).max().unwrap_or(0);
-                let mut sum_true = 0u64;
-                for &(a, l) in &terms {
-                    if self.is_true(l) {
-                        sum_true += a;
-                    }
+                let min_coeff = terms.iter().map(|&(a, _)| a).min().unwrap_or(0);
+                let all = 0..terms.len() as u32;
+                // Root-true terms enter the list in trail order, as if
+                // each had been enqueued after the row existed.
+                let mut trues: Vec<u32> = all
+                    .clone()
+                    .filter(|&t| self.is_true(terms[t as usize].1))
+                    .collect();
+                trues.sort_by_key(|&t| self.trail_pos[terms[t as usize].1.var().index()]);
+                let sum_true = trues.iter().map(|&t| terms[t as usize].0).sum();
+                let slots = self.lin_slots.len();
+                let n_true = trues.len();
+                self.lin_slots.extend(&trues);
+                self.lin_slots.resize(slots + terms.len(), 0);
+                if min_coeff != max_coeff {
+                    self.lin_slots.extend(all);
+                    self.lin_slots[slots + terms.len()..]
+                        .sort_by_key(|&t| std::cmp::Reverse(terms[t as usize].0));
                 }
                 let idx = self.linears.len() as u32;
                 for (ti, &(_, l)) in terms.iter().enumerate() {
@@ -1069,6 +1166,9 @@ impl Engine {
                     bound,
                     sum_true,
                     max_coeff,
+                    min_coeff,
+                    slots,
+                    n_true,
                 });
                 if sum_true > bound {
                     self.ok = false;
@@ -1131,13 +1231,15 @@ impl Engine {
 
     fn enqueue(&mut self, l: Lit, reason: Reason) {
         debug_assert!(self.is_unassigned(l));
-        // Linear counters update eagerly so that backtracking (which
-        // decrements for every popped literal) stays symmetric even when a
-        // conflict interrupts propagation before this literal is processed.
-        for k in 0..self.lin_occ[l.code()].len() {
-            let (lin, term) = self.lin_occ[l.code()][k];
-            let c = self.linears[lin as usize].terms[term as usize].0;
-            self.linears[lin as usize].sum_true += c;
+        // Linear counters and true-term lists update eagerly so that
+        // backtracking (which undoes every popped literal) stays symmetric
+        // even when a conflict interrupts propagation before this literal
+        // is processed.
+        for &(lin, term) in &self.lin_occ[l.code()] {
+            let row = &mut self.linears[lin as usize];
+            row.sum_true += row.terms[term as usize].0;
+            self.lin_slots[row.slots + row.n_true] = term;
+            row.n_true += 1;
         }
         let v = l.var().index();
         self.assign.set(v, (l.code() as u8 & 1) ^ 1);
@@ -1252,78 +1354,101 @@ impl Engine {
     }
 
     /// Forces to false every unassigned literal whose coefficient exceeds
-    /// the constraint's remaining slack.
+    /// the constraint's remaining slack, in term order. Only the terms
+    /// that can be forced are visited: the prefix of the coefficient
+    /// index above the slack, or the whole row once the slack is below
+    /// every coefficient.
     fn propagate_linear_scan(&mut self, lin: u32) -> Option<Conflict> {
-        let l = &self.linears[lin as usize];
-        if l.sum_true > l.bound {
+        let row = &self.linears[lin as usize];
+        if row.sum_true > row.bound {
             return Some(Conflict::Linear(lin));
         }
-        let slack = l.bound - l.sum_true;
-        let mut forced: Vec<Lit> = Vec::new();
-        for &(a, lit) in &l.terms {
-            if a > slack && self.is_unassigned(lit) {
-                forced.push(!lit);
-            }
+        let slack = row.bound - row.sum_true;
+        let mut forced = std::mem::take(&mut self.term_buf);
+        forced.clear();
+        let unassigned = |t: &u32| self.is_unassigned(row.terms[*t as usize].1);
+        if row.min_coeff > slack {
+            forced.extend((0..row.terms.len() as u32).filter(unassigned));
+        } else {
+            let above = |t: &u32| row.terms[*t as usize].0 > slack;
+            forced.extend(
+                row.by_coeff(&self.lin_slots)
+                    .iter()
+                    .copied()
+                    .take_while(above)
+                    .filter(unassigned),
+            );
+            forced.sort_unstable();
         }
-        for f in forced {
+        let mut conflict = None;
+        for &t in &forced {
+            let f = !self.linears[lin as usize].terms[t as usize].1;
             if self.is_false(f) {
-                return Some(Conflict::Linear(lin));
+                conflict = Some(Conflict::Linear(lin));
+                break;
             }
             if self.is_unassigned(f) {
                 self.enqueue(f, Reason::Linear(lin));
             }
         }
-        None
+        self.term_buf = forced;
+        conflict
     }
 
-    /// Antecedent literals (all currently false) that imply `implied`
-    /// under the given reason; `implied = None` explains a conflict.
-    fn explain(&self, conflict: Conflict, implied: Option<Lit>) -> Vec<Lit> {
+    /// Writes into `out` the antecedent literals (all currently false)
+    /// that imply `implied` under the given reason; `implied = None`
+    /// explains a conflict. `terms` is scratch for linear explanations.
+    fn explain(
+        &self,
+        conflict: Conflict,
+        implied: Option<Lit>,
+        out: &mut Vec<Lit>,
+        terms: &mut Vec<u32>,
+    ) {
+        out.clear();
         match conflict {
-            Conflict::Clause(c) => (0..self.arena.len(c))
-                .map(|i| self.arena.lit(c, i))
-                .filter(|&l| Some(l) != implied)
-                .collect(),
+            Conflict::Clause(c) => out.extend(
+                (0..self.arena.len(c))
+                    .map(|i| self.arena.lit(c, i))
+                    .filter(|&l| Some(l) != implied),
+            ),
             Conflict::Linear(lin) => {
-                let l = &self.linears[lin as usize];
+                let row = &self.linears[lin as usize];
                 // Needed weight: enough true literals to exceed the bound
                 // (conflict) or the bound minus the implied literal's
                 // coefficient (propagation).
-                let mut needed: u128 = u128::from(l.bound) + 1;
-                let limit_pos = implied.map(|il| self.trail_pos[il.var().index()]);
+                let mut needed: u128 = u128::from(row.bound) + 1;
+                // The true list is in trail order, so the terms assigned
+                // before the implied literal are a prefix of it.
+                let trues = row.trues(&self.lin_slots);
+                let mut before = trues.len();
                 if let Some(il) = implied {
-                    let a = l
-                        .terms
+                    let a = self.lin_occ[(!il).code()]
                         .iter()
-                        .find(|&&(_, t)| t == !il)
-                        .map(|&(a, _)| a)
+                        .find(|&&(l, _)| l == lin)
+                        .map(|&(_, t)| row.terms[t as usize].0)
                         .expect("implied literal negates a term of the constraint");
                     needed = needed.saturating_sub(u128::from(a));
+                    let p = self.trail_pos[il.var().index()];
+                    before = trues.partition_point(|&t| {
+                        self.trail_pos[row.terms[t as usize].1.var().index()] < p
+                    });
                 }
-                let mut trues: Vec<(u64, Lit)> = l
-                    .terms
-                    .iter()
-                    .copied()
-                    .filter(|&(_, t)| {
-                        self.is_true(t)
-                            && limit_pos
-                                .map(|p| self.trail_pos[t.var().index()] < p)
-                                .unwrap_or(true)
-                    })
-                    .collect();
-                // Prefer large coefficients for a short explanation.
-                trues.sort_by_key(|t| std::cmp::Reverse(t.0));
+                // Prefer large coefficients for a short explanation; ties
+                // in term order.
+                terms.clear();
+                terms.extend_from_slice(&trues[..before]);
+                terms.sort_unstable_by_key(|&t| (std::cmp::Reverse(row.terms[t as usize].0), t));
                 let mut acc: u128 = 0;
-                let mut out = Vec::new();
-                for (a, t) in trues {
+                for &t in terms.iter() {
                     if acc >= needed {
                         break;
                     }
+                    let (a, lit) = row.terms[t as usize];
                     acc += u128::from(a);
-                    out.push(!t);
+                    out.push(!lit);
                 }
                 debug_assert!(acc >= needed, "explanation must justify propagation");
-                out
             }
         }
     }
@@ -1336,13 +1461,16 @@ impl Engine {
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, conflict: Conflict) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot for asserting literal
+    /// First-UIP conflict analysis. Writes the learnt clause (asserting
+    /// literal first) into `learnt` and returns the backjump level.
+    fn analyze(&mut self, conflict: Conflict, learnt: &mut Vec<Lit>) -> u32 {
+        let mut antecedent = std::mem::take(&mut self.ante_buf);
+        let mut terms = std::mem::take(&mut self.term_buf);
+        learnt.clear();
+        learnt.push(Lit(0)); // slot for asserting literal
         let mut path = 0usize;
         let mut idx = self.trail.len();
-        let mut antecedent = self.explain(conflict, None);
+        self.explain(conflict, None, &mut antecedent, &mut terms);
         if let Conflict::Clause(c) = conflict {
             self.bump_clause(c);
         }
@@ -1383,44 +1511,46 @@ impl Engine {
             if let Conflict::Clause(c) = r {
                 self.bump_clause(c);
             }
-            antecedent = self.explain(r, Some(p));
+            self.explain(r, Some(p), &mut antecedent, &mut terms);
         }
-        if !self.features.minimization {
+        if self.features.minimization {
+            // Conflict-clause minimisation: a literal is redundant if its
+            // reason's antecedents are all already in the clause (or at
+            // level 0). One non-recursive pass catches most redundancies;
+            // kept literals are compacted in place, in order.
             for &l in &learnt[1..] {
-                self.seen.set(l.var().index(), false);
+                self.seen.set(l.var().index(), true);
             }
-            return self.finish_analysis(learnt, rescale);
-        }
-        // Conflict-clause minimisation: a literal is redundant if its
-        // reason's antecedents are all already in the clause (or at level
-        // 0). One non-recursive pass catches most redundancies.
-        for &l in &learnt[1..] {
-            self.seen.set(l.var().index(), true);
-        }
-        let mut minimized = vec![learnt[0]];
-        for &l in &learnt[1..] {
-            let keep = match self.reason_conflict(l.var().index()) {
-                None => true,
-                Some(r) => {
-                    let ante = self.explain(r, Some(!l));
-                    !ante
-                        .iter()
-                        .all(|a| self.seen.get(a.var().index()) || self.level[a.var().index()] == 0)
+            let mut kept = 1;
+            for i in 1..learnt.len() {
+                let l = learnt[i];
+                let keep = match self.reason_conflict(l.var().index()) {
+                    None => true,
+                    Some(r) => {
+                        self.explain(r, Some(!l), &mut antecedent, &mut terms);
+                        !antecedent.iter().all(|a| {
+                            self.seen.get(a.var().index()) || self.level[a.var().index()] == 0
+                        })
+                    }
+                };
+                if keep {
+                    learnt[kept] = l;
+                    kept += 1;
+                } else {
+                    self.seen.set(l.var().index(), false);
                 }
-            };
-            if keep {
-                minimized.push(l);
-            } else {
-                self.seen.set(l.var().index(), false);
             }
+            learnt.truncate(kept);
         }
-        for &l in &minimized[1..] {
+        for &l in &learnt[1..] {
             self.seen.set(l.var().index(), false);
         }
-        self.finish_analysis(minimized, rescale)
+        self.ante_buf = antecedent;
+        self.term_buf = terms;
+        self.finish_analysis(learnt, rescale)
     }
 
-    fn finish_analysis(&mut self, mut learnt: Vec<Lit>, rescale: bool) -> (Vec<Lit>, u32) {
+    fn finish_analysis(&mut self, learnt: &mut [Lit], rescale: bool) -> u32 {
         if rescale {
             self.order.rescale();
             self.var_inc *= 1e-100;
@@ -1439,7 +1569,7 @@ impl Engine {
             learnt.swap(1, max_i);
             bt = self.level[learnt[1].var().index()];
         }
-        (learnt, bt)
+        bt
     }
 
     fn bump_clause(&mut self, c: CRef) {
@@ -1472,9 +1602,17 @@ impl Engine {
             self.assign.set(v, 2);
             self.reason[v] = Reason::None;
             self.order.insert(p.var().0);
-            for &(lin, term) in &self.lin_occ[p.code()] {
-                let l = &mut self.linears[lin as usize];
-                l.sum_true -= l.terms[term as usize].0;
+            // Exact reverse of `enqueue`: `p` is the newest true literal,
+            // so its terms are the tails of their rows' true lists.
+            for &(lin, term) in self.lin_occ[p.code()].iter().rev() {
+                let row = &mut self.linears[lin as usize];
+                row.sum_true -= row.terms[term as usize].0;
+                row.n_true -= 1;
+                debug_assert_eq!(
+                    self.lin_slots[row.slots + row.n_true],
+                    term,
+                    "true list out of trail order"
+                );
             }
         }
         self.trail.truncate(lim);
@@ -2132,6 +2270,8 @@ impl Engine {
             return;
         }
         self.seen.set(p.var().index(), true);
+        let mut antecedent = std::mem::take(&mut self.ante_buf);
+        let mut terms = std::mem::take(&mut self.term_buf);
         for i in (self.trail_lim[0]..self.trail.len()).rev() {
             let q = self.trail[i];
             let v = q.var().index();
@@ -2144,7 +2284,8 @@ impl Engine {
                 // assumption establishment).
                 None => self.last_core.push(q),
                 Some(r) => {
-                    for a in self.explain(r, Some(q)) {
+                    self.explain(r, Some(q), &mut antecedent, &mut terms);
+                    for &a in &antecedent {
                         if self.level[a.var().index()] > 0 {
                             self.seen.set(a.var().index(), true);
                         }
@@ -2154,6 +2295,8 @@ impl Engine {
             self.seen.set(v, false);
         }
         self.seen.set(p.var().index(), false);
+        self.ante_buf = antecedent;
+        self.term_buf = terms;
     }
 
     /// Runs CDCL search under the given budget.
@@ -2184,6 +2327,12 @@ impl Engine {
         }
         if !self.import_shared() {
             return SatResult::Unsat;
+        }
+        // Every assumption takes a decision level of its own, a repeated
+        // one included, so the levels can outnumber the variables.
+        let levels = self.num_vars + assumptions.len() + 1;
+        if self.lbd_stamp.len() < levels {
+            self.lbd_stamp.resize(levels, 0);
         }
         self.assumptions = assumptions.to_vec();
         let result = self.search(budget);
@@ -2237,7 +2386,8 @@ impl Engine {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let mut learnt = std::mem::take(&mut self.learnt_buf);
+                let bt = self.analyze(confl, &mut learnt);
                 let lbd = self.compute_lbd(&learnt);
                 self.stats.learnt_clauses += 1;
                 self.stats.lbd_total += u64::from(lbd);
@@ -2253,6 +2403,7 @@ impl Engine {
                     let cref = self.attach_clause(&learnt, true, lbd);
                     self.enqueue(asserting, Reason::Clause(cref));
                 }
+                self.learnt_buf = learnt;
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
                 if let Some(limit) = budget.conflict_limit {
                     if self.stats.conflicts - start_conflicts >= limit {
@@ -2371,6 +2522,52 @@ impl Engine {
             if !self.is_true(l) {
                 return Err(format!("trail literal {l:?} is not true"));
             }
+        }
+        for (i, row) in self.linears.iter().enumerate() {
+            self.check_linear(row)
+                .map_err(|e| format!("row {i}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// The pseudo-Boolean state of one row against a recount from its
+    /// terms and the trail.
+    fn check_linear(&self, row: &Linear) -> Result<(), String> {
+        let coeff = |t: u32| row.terms[t as usize].0;
+        let all = 0..row.terms.len() as u32;
+        let mut trues: Vec<u32> = all
+            .clone()
+            .filter(|&t| self.is_true(row.terms[t as usize].1))
+            .collect();
+        trues.sort_by_key(|&t| self.trail_pos[row.terms[t as usize].1.var().index()]);
+        if row.trues(&self.lin_slots) != trues {
+            return Err(format!(
+                "true list {:?}, trail order gives {trues:?}",
+                row.trues(&self.lin_slots)
+            ));
+        }
+        let sum: u64 = trues.iter().map(|&t| coeff(t)).sum();
+        if row.sum_true != sum {
+            return Err(format!(
+                "sum_true {} but true terms sum to {sum}",
+                row.sum_true
+            ));
+        }
+        let min = all.clone().map(coeff).min().unwrap_or(0);
+        let max = all.clone().map(coeff).max().unwrap_or(0);
+        if (row.min_coeff, row.max_coeff) != (min, max) {
+            return Err(format!(
+                "coefficient range {}..={}, terms give {min}..={max}",
+                row.min_coeff, row.max_coeff
+            ));
+        }
+        let mut expected: Vec<u32> = Vec::new();
+        if min != max {
+            expected.extend(all);
+            expected.sort_by_key(|&t| std::cmp::Reverse(coeff(t)));
+        }
+        if row.by_coeff(&self.lin_slots) != expected {
+            return Err("coefficient index is not the stable descending order".into());
         }
         Ok(())
     }

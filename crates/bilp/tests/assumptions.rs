@@ -10,7 +10,10 @@
 //! Random models reuse the envelope of `proptest_vs_brute.rs`; every
 //! failure reproduces from its case index and seed.
 
-use bilp::{Cmp, IncrementalSolver, LinExpr, Lit, Model, Outcome, Solver, SolverConfig, Var};
+use bilp::{
+    normalize, Budget, Cmp, Engine, IncrementalSolver, LinExpr, Lit, Model, Outcome, SatResult,
+    Solver, SolverConfig, Var,
+};
 use cgra_rng::Rng;
 
 #[derive(Debug, Clone)]
@@ -303,4 +306,48 @@ fn incremental_solver_matches_one_shot() {
             );
         }
     }
+}
+
+/// Four pigeons into three holes, plus one variable no constraint
+/// mentions.
+fn pigeonhole_plus_free() -> (Model, Var) {
+    let mut m = Model::new();
+    let slots: Vec<Vec<Var>> = (0..4).map(|_| m.new_vars(3)).collect();
+    for row in &slots {
+        m.add_ge(LinExpr::sum(row.clone()), 1);
+    }
+    for h in 0..3 {
+        m.add_at_most_one(slots.iter().map(|row| row[h]));
+    }
+    let free = m.new_var();
+    (m, free)
+}
+
+/// Each copy of a repeated assumption takes its own decision level, so
+/// 64 copies of one literal push the search far past `num_vars` levels
+/// before the first real decision. Conflict analysis must cope: the
+/// model is infeasible on its own, so the answer is `Infeasible` with an
+/// empty core, through the engine and through the incremental solver.
+#[test]
+fn repeated_assumption_outnumbering_the_variables() {
+    let (m, free) = pigeonhole_plus_free();
+    let copies = vec![free.lit(); 64];
+
+    let mut e = Engine::new(m.num_vars());
+    for c in m.constraints() {
+        for nc in normalize(c) {
+            e.add_norm(nc);
+        }
+    }
+    assert_eq!(
+        e.solve_under_assumptions(Budget::unlimited(), &copies),
+        SatResult::Unsat
+    );
+    assert!(e.unsat_core().is_empty(), "core {:?}", e.unsat_core());
+
+    // Presolve would eliminate the unconstrained variable and drop the
+    // assumptions before they reach the engine.
+    let mut inc = IncrementalSolver::new(&m, config(false));
+    assert_eq!(inc.solve_under_assumptions(&copies), Outcome::Infeasible);
+    assert!(inc.unsat_core().is_empty(), "core {:?}", inc.unsat_core());
 }
