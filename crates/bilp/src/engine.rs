@@ -562,6 +562,32 @@ pub struct EngineStats {
     pub gc_runs: u64,
 }
 
+impl std::ops::AddAssign for EngineStats {
+    /// Sums every counter (the per-tier `kept_*` snapshots included), as
+    /// the statistics of several engines are reported together.
+    fn add_assign(&mut self, o: EngineStats) {
+        self.conflicts += o.conflicts;
+        self.decisions += o.decisions;
+        self.propagations += o.propagations;
+        self.restarts += o.restarts;
+        self.deleted_clauses += o.deleted_clauses;
+        self.learnt_clauses += o.learnt_clauses;
+        self.lbd_total += o.lbd_total;
+        self.deleted_mid += o.deleted_mid;
+        self.deleted_local += o.deleted_local;
+        self.kept_core += o.kept_core;
+        self.kept_mid += o.kept_mid;
+        self.kept_local += o.kept_local;
+        self.imported_clauses += o.imported_clauses;
+        self.exported_clauses += o.exported_clauses;
+        self.inprocessings += o.inprocessings;
+        self.vivified_lits += o.vivified_lits;
+        self.subsumed_clauses += o.subsumed_clauses;
+        self.strengthened_lits += o.strengthened_lits;
+        self.gc_runs += o.gc_runs;
+    }
+}
+
 impl EngineStats {
     /// Mean LBD over every clause learnt so far (0 when none were).
     pub fn mean_lbd(&self) -> f64 {
@@ -798,15 +824,17 @@ pub struct Engine {
     exchange: Option<Arc<ClauseExchange>>,
     exchange_cursor: usize,
     /// When false the engine still exports learnt clauses to the
-    /// exchange but never imports foreign ones — the pinned portfolio
-    /// worker stays bit-identical to a sequential run this way.
+    /// exchange but never imports foreign ones — the pinned racing
+    /// worker keeps the one-engine search this way.
     exchange_import: bool,
     /// Shared best-objective cell watched at every budget poll: when the
-    /// global incumbent drops below this engine's own bound tag, the
-    /// search yields `Unknown` so the caller can post the tighter
-    /// permanent bound and re-enter.
+    /// global incumbent implies a tighter bound than `watched_bound`, the
+    /// search yields `Unknown` so the caller can post that bound and
+    /// re-enter.
     bound_watch: Option<Arc<AtomicI64>>,
-    bound_tag: i64,
+    /// The objective bound the current search enforces (`i64::MAX`
+    /// before the first one); `None` while the watch sleeps.
+    watched_bound: Option<i64>,
     worker_id: usize,
     /// Clauses mentioning a variable at or above this index are never
     /// exported (activation variables are engine-local).
@@ -880,7 +908,7 @@ impl Engine {
             exchange_cursor: 0,
             exchange_import: true,
             bound_watch: None,
-            bound_tag: i64::MAX,
+            watched_bound: None,
             worker_id: 0,
             share_var_limit: usize::MAX,
             assumptions: Vec::new(),
@@ -943,10 +971,11 @@ impl Engine {
 
     /// Connects this engine to a portfolio clause exchange as worker
     /// `worker_id`. Learnt units and low-LBD clauses over variables below
-    /// `share_var_limit` are published with the engine's current
-    /// objective-bound tag; foreign clauses are imported at solve start
-    /// and at restart boundaries. `share_var_limit` keeps engine-local
-    /// activation variables (see [`Engine::add_var`]) out of the pool.
+    /// `share_var_limit` are published; foreign clauses are imported at
+    /// solve start and at restart boundaries. `share_var_limit` keeps
+    /// engine-local activation variables (see [`Engine::add_var`]) out
+    /// of the pool, so a clause learnt under a reified objective bound
+    /// leaves the engine only when it is implied by the model alone.
     pub fn set_exchange(
         &mut self,
         exchange: Arc<ClauseExchange>,
@@ -959,28 +988,28 @@ impl Engine {
         self.share_var_limit = share_var_limit;
     }
 
-    /// Records the objective bound under which subsequently learnt units
-    /// are valid (`i64::MAX` = no bound constraint added yet). Bounds in
-    /// branch-and-bound only ever tighten, so the tag is monotone.
-    pub fn set_bound_tag(&mut self, bound: i64) {
-        self.bound_tag = bound;
+    /// Records the objective bound the next searches enforce, for the
+    /// bound watch: `Some(i64::MAX)` before any bound exists, `None` to
+    /// let the watch sleep (a search that enforces no bound at all).
+    pub fn set_watched_bound(&mut self, bound: Option<i64>) {
+        self.watched_bound = bound;
     }
 
     /// Watches a shared best-objective cell (`i64::MAX` = no incumbent
     /// yet). At every amortised budget poll the engine compares the cell
-    /// against its own bound tag; if the global incumbent implies a
+    /// against its watched bound; if the global incumbent implies a
     /// strictly tighter bound than the one this engine already enforces,
     /// the search returns [`SatResult::Unknown`] so the owner can post
-    /// the tighter permanent bound constraint and re-enter mid-solve.
+    /// the tighter bound and re-enter mid-solve.
     pub fn set_bound_watch(&mut self, cell: Arc<AtomicI64>) {
         self.bound_watch = Some(cell);
     }
 
     /// Enables or disables importing foreign clauses from the exchange.
-    /// Publishing is unaffected. The portfolio pins worker 0 to the
-    /// undiversified sequential configuration; disabling imports keeps
-    /// its search trace bit-identical to `threads = 1` until the race
-    /// is already decided.
+    /// Publishing is unaffected. A race pins worker 0 to the
+    /// undiversified one-engine configuration; disabling imports keeps
+    /// its search trace that of `threads = 1` until a foreign incumbent
+    /// reaches it.
     pub fn set_exchange_import(&mut self, import: bool) {
         self.exchange_import = import;
     }
@@ -988,12 +1017,12 @@ impl Engine {
     /// True when the watched global incumbent implies a strictly tighter
     /// objective bound than this engine currently enforces.
     fn bound_watch_fired(&self) -> bool {
-        match &self.bound_watch {
-            Some(cell) => {
+        match (&self.bound_watch, self.watched_bound) {
+            (Some(cell), Some(bound)) => {
                 let g = cell.load(Ordering::Relaxed);
-                g != i64::MAX && g.saturating_sub(1) < self.bound_tag
+                g != i64::MAX && g.saturating_sub(1) < bound
             }
-            None => false,
+            _ => false,
         }
     }
 
@@ -2190,7 +2219,7 @@ impl Engine {
         if lits.iter().any(|l| l.var().index() >= self.share_var_limit) {
             return;
         }
-        if ex.publish(self.worker_id, lits, lbd, self.bound_tag) {
+        if ex.publish(self.worker_id, lits, lbd) {
             self.stats.exported_clauses += 1;
         }
     }
@@ -2205,12 +2234,11 @@ impl Engine {
         let Some(ex) = self.exchange.clone() else {
             return true;
         };
-        let my_bound = self.bound_tag;
         let my_id = self.worker_id;
         let mut cursor = self.exchange_cursor;
         let mut ok = true;
         let mut incoming: Vec<(Vec<Lit>, u32)> = Vec::new();
-        ex.import_since(&mut cursor, my_bound, my_id, |lits, lbd| {
+        ex.import_since(&mut cursor, my_id, |lits, lbd| {
             incoming.push((lits.to_vec(), lbd));
         });
         self.exchange_cursor = cursor;

@@ -1,67 +1,66 @@
-//! Parallel portfolio solving: N diversified CDCL engines racing on the
-//! same model.
+//! Parallel solving: N ≥ 2 persistent descents racing on one model.
 //!
 //! The paper runs Gurobi with 8 threads; this module is the from-scratch
-//! equivalent of Gurobi's *concurrent MIP* mode for our engine. Each
-//! worker thread builds its own [`Engine`] over the same constraint
-//! database but with a diversified configuration — decision-order seed,
-//! randomised tie-breaking, initial polarity, restart schedule, VSIDS
-//! on/off — and the workers race:
+//! equivalent of Gurobi's *concurrent MIP* mode for our engine.
+//! [`IncrementalSolver`](crate::IncrementalSolver) holds one persistent
+//! descent per engine; with more than one, every query races them on
+//! scoped threads. Each engine has its own diversified configuration
+//! (decision-order seed, randomised tie-breaking, initial polarity,
+//! restart schedule, VSIDS on/off), and
+//! each runs the same descent as a single engine does, sharing three
+//! things with the others:
 //!
-//! * **Feasibility** (no objective): the first worker to decide SAT or
-//!   UNSAT wins and cancels the others through a shared [`AtomicBool`].
-//! * **Optimisation** (branch-and-bound): workers share the incumbent
-//!   objective through an [`AtomicI64`]; every worker prunes against the
-//!   globally best bound, so one worker's lucky incumbent immediately
-//!   shrinks everyone else's search space. The first worker to prove
-//!   unsatisfiability *under the globally best bound* proves optimality
-//!   for the whole portfolio.
-//!
-//! Workers additionally share learnt clauses through a bounded
-//! [`ClauseExchange`], drained at solve start and at restart boundaries.
-//! Only *glue* clauses travel — LBD at most `share_lbd`, length at most
-//! `share_len` (units always qualify) — so the pool stays small and every
-//! import is likely to prune. Entries are tagged with the objective bound
-//! under which they were derived: a clause learnt under `obj <= k` is
-//! sound for any worker whose own bound is at least as tight (`<= k`),
-//! because that worker's constraint set entails the publisher's. Untagged
-//! clauses (learnt before any bound) are sound for everyone. The pool is
-//! a fixed-capacity ring: old entries are evicted, publication uses
-//! `try_lock` so the hot path never blocks on a contended mutex, and a
-//! worker never re-imports its own clauses.
+//! * **The incumbent.** Every solution a worker finds goes to one shared
+//!   slot (an [`AtomicI64`] objective plus the assignment under a
+//!   mutex). A worker that sees a better one adopts it as its own best
+//!   and posts the next *reified* bound below it, exactly as it would
+//!   after finding it itself; the engine's bound watch wakes a worker
+//!   mid-search when that happens. Validated heuristic-probe candidates
+//!   enter the same slot.
+//! * **Learnt clauses**, through a bounded [`ClauseExchange`] drained at
+//!   solve start and at restart boundaries. Only *glue* clauses travel —
+//!   LBD at most `share_lbd`, length at most `share_len` (units always
+//!   qualify). Activation variables of reified bounds never leave their
+//!   engine, so every clause in the pool is implied by the model alone
+//!   and any worker may import it whatever bound it has reached. The
+//!   pool is a fixed-capacity ring: old entries are evicted, publication
+//!   uses `try_lock` so the hot path never blocks on a contended mutex,
+//!   and a worker never re-imports its own clauses.
+//! * **The verdict.** The first decisive answer — a feasibility query's
+//!   solution or refutation, an optimality or infeasibility proof, or an
+//!   incumbent at [`SolverConfig::objective_stop`] — ends the race
+//!   through a shared stop flag that every engine polls.
 //!
 //! # Determinism
 //!
 //! Feasibility verdicts, infeasibility proofs and *optimal objective
-//! values* are identical to the single-threaded solver's — they are
-//! proofs, not samples. Which satisfying assignment is returned (among
-//! equally good ones) and which worker wins the race may vary from run to
-//! run. `threads = 1` bypasses the portfolio entirely and is bit-for-bit
-//! identical to the sequential solver.
+//! values* are identical to a single engine's — they are proofs, not
+//! samples. Which satisfying assignment is returned (among equally good
+//! ones) and which worker wins the race may vary from run to run. One
+//! engine never enters this module and is bit-for-bit deterministic.
 //!
 //! # Fault isolation
 //!
 //! Each worker runs under [`std::panic::catch_unwind`]: a panicking
-//! worker is quarantined — its partial state is dropped, the panic is
+//! worker is quarantined — its descent is dropped for good, the panic is
 //! counted in [`SolveStats::worker_panics`], and the race continues on
 //! the survivors. Shared state is panic-tolerant by construction: every
-//! mutex acquisition recovers from poisoning (the guarded data — a
-//! clause pool and an incumbent slot — is always in a consistent state
-//! between mutations, so a poison flag carries no information here), and
-//! an incumbent is only accepted after re-validation against the
-//! original [`Model`], so a corrupted worker cannot smuggle a bogus
-//! solution past the race. If *every* worker dies, the portfolio
-//! degrades to a fresh single-threaded solve on the calling thread with
-//! whatever budget remains rather than returning garbage.
+//! mutex acquisition recovers from poisoning (the guarded data is always
+//! consistent between mutations, so a poison flag carries no information
+//! here), and the final answer is re-validated against the model, so a
+//! corrupted worker cannot smuggle a bogus solution past the race. Once
+//! *every* worker is dead, each query runs on one fresh base-config
+//! descent on the calling thread instead.
 
-use crate::engine::{Budget, Engine, EngineFeatures, EngineStats, SatResult};
-use crate::model::{Cmp, Constraint, LinExpr, Lit, Model, Var};
-use crate::normalize::normalize;
-use crate::solve::{Assignment, HeuristicProbe, IncumbentSource, Outcome, SolveStats, Solver};
-use crate::SolverConfig;
+use crate::engine::{EngineFeatures, EngineStats};
+use crate::model::{Lit, Model};
+use crate::solve::{
+    validate, Assignment, Descent, HeuristicProbe, IncumbentSource, Outcome, Query,
+};
+use crate::{SolveStats, SolverConfig};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -77,8 +76,8 @@ pub static CHAOS_PANIC_WORKER: AtomicUsize = AtomicUsize::new(usize::MAX);
 pub const CHAOS_PANIC_ALL: usize = usize::MAX - 1;
 
 /// Locks a mutex, recovering the guard if a panicking worker poisoned
-/// it. Sound for the portfolio's shared state because both guarded
-/// structures are consistent between mutations (no multi-step critical
+/// it. Sound for the race's shared state because every guarded
+/// structure is consistent between mutations (no multi-step critical
 /// sections that a mid-flight panic could tear).
 fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
@@ -89,7 +88,6 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 struct SharedClause {
     lits: Vec<Lit>,
     lbd: u32,
-    bound_tag: i64,
     worker: usize,
 }
 
@@ -101,16 +99,13 @@ struct ExchangePool {
     entries: VecDeque<SharedClause>,
 }
 
-/// A bounded, lock-light pool of learnt clauses shared between portfolio
-/// workers and drained at solve start and restart boundaries.
+/// A bounded, lock-light pool of learnt clauses shared between racing
+/// engines and drained at solve start and restart boundaries.
 ///
-/// Each entry carries the clause, its LBD, the publishing worker's id
-/// (workers skip their own clauses on import) and a `bound_tag`: the
-/// clause was learnt while the publisher's objective-bound constraint was
-/// `obj <= bound_tag` (`i64::MAX` when no bound had been added). An
-/// importer whose current bound `b` satisfies `b <= bound_tag` may
-/// soundly attach the clause, because its constraint set entails the
-/// publisher's.
+/// Each entry carries the clause, its LBD and the publishing worker's id
+/// (workers skip their own clauses on import). Publishers keep clauses
+/// that mention engine-local variables out of the pool, so every entry
+/// is implied by the model alone and any worker may import any entry.
 ///
 /// The pool holds at most `capacity` clauses; publishing past capacity
 /// evicts the oldest entry, and an importer whose cursor has fallen
@@ -159,10 +154,9 @@ impl ClauseExchange {
         self.len() == 0
     }
 
-    /// Publishes a clause learnt by `worker`, valid under objective bound
-    /// `bound_tag`. Best-effort: returns `false` (dropping the clause)
-    /// when the pool mutex is contended.
-    pub fn publish(&self, worker: usize, lits: &[Lit], lbd: u32, bound_tag: i64) -> bool {
+    /// Publishes a clause learnt by `worker`. Best-effort: returns
+    /// `false` (dropping the clause) when the pool mutex is contended.
+    pub fn publish(&self, worker: usize, lits: &[Lit], lbd: u32) -> bool {
         let mut pool = match self.pool.try_lock() {
             Ok(pool) => pool,
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
@@ -175,28 +169,19 @@ impl ClauseExchange {
         pool.entries.push_back(SharedClause {
             lits: lits.to_vec(),
             lbd,
-            bound_tag,
             worker,
         });
         true
     }
 
     /// Visits every clause published since `*cursor` that did not come
-    /// from `my_id` and whose bound tag is compatible with `my_bound`,
-    /// advancing the cursor past everything seen (incompatible clauses
-    /// can never become compatible, because bounds only tighten; clauses
+    /// from `my_id`, advancing the cursor past everything seen (clauses
     /// evicted before the cursor caught up are silently missed).
-    pub fn import_since(
-        &self,
-        cursor: &mut usize,
-        my_bound: i64,
-        my_id: usize,
-        mut f: impl FnMut(&[Lit], u32),
-    ) {
+    pub fn import_since(&self, cursor: &mut usize, my_id: usize, mut f: impl FnMut(&[Lit], u32)) {
         let pool = lock_recover(&self.pool);
         let start = (*cursor).max(pool.base) - pool.base;
         for c in pool.entries.iter().skip(start) {
-            if c.worker != my_id && my_bound <= c.bound_tag {
+            if c.worker != my_id {
                 f(&c.lits, c.lbd);
             }
         }
@@ -204,71 +189,136 @@ impl ClauseExchange {
     }
 }
 
-/// What one worker concluded (beyond incumbents, which are shared as
-/// they are found).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkerVerdict {
-    /// Found a satisfying assignment in a pure feasibility race.
-    FoundSat,
-    /// Proved the base model infeasible.
-    Infeasible,
-    /// Proved there is no solution with objective `<= bound`; combined
-    /// with the shared incumbent this is an optimality proof.
-    ExhaustedBelow(i64),
-    /// Stopped without a proof (budget, cancellation).
-    Inconclusive,
+/// The first decisive answer of one query.
+#[derive(Debug)]
+struct Verdict {
+    /// The worker that gave it; `None` for a probe.
+    worker: Option<usize>,
+    outcome: Outcome,
+    /// Unsat core in the racing engines' literals.
+    core: Vec<Lit>,
+    source: IncumbentSource,
 }
 
-/// State shared by all portfolio workers.
-struct Shared {
-    /// Cooperative cancellation: set once any worker reaches a verdict
-    /// that decides the whole solve. Behind an `Arc` so each engine can
-    /// hold a clone as its interrupt hook.
+/// State the racing descents of one solver share, across all its queries.
+#[derive(Debug)]
+pub(crate) struct Race {
+    /// Cooperative cancellation: every engine's interrupt flag. Set once
+    /// a query is decided, and after every race so the helper threads
+    /// exit; cleared when the next query starts.
     stop: Arc<AtomicBool>,
-    /// Best incumbent objective value (`i64::MAX` = none yet). Behind an
-    /// `Arc` so each engine can watch it from inside its search loop
-    /// (see [`Engine::set_bound_watch`]) and react to a foreign
-    /// incumbent mid-solve instead of at the next solve call.
+    /// Best incumbent objective value (`i64::MAX` = none yet), watched by
+    /// every engine from inside its search loop (see
+    /// [`crate::Engine::set_bound_watch`]).
     best_objective: Arc<AtomicI64>,
     /// Best incumbent assignment and where it came from, guarded
     /// separately from the atomic so readers of `best_objective` never
-    /// block.
+    /// block. Incumbents are model solutions, so the slot stays valid
+    /// from one query to the next.
     incumbent: Mutex<Option<(Assignment, i64, IncumbentSource)>>,
-    /// Learnt-clause pool.
-    exchange: Arc<ClauseExchange>,
+    /// The current query's first decisive answer.
+    verdict: Mutex<Option<Verdict>>,
 }
 
-impl Shared {
-    /// Records an incumbent if it improves on the global best. Returns
-    /// whether it was accepted.
-    fn offer_incumbent(
+impl Race {
+    /// Loads `model` into `n` diversified descents wired to one race.
+    /// `Err` carries the engine stats when the model is refuted at the
+    /// root.
+    pub(crate) fn enlist(
+        model: &Model,
+        config: &SolverConfig,
+        n: usize,
+    ) -> Result<(Race, Vec<Option<Descent>>), Box<EngineStats>> {
+        let race = Race {
+            stop: Arc::new(AtomicBool::new(false)),
+            best_objective: Arc::new(AtomicI64::new(i64::MAX)),
+            incumbent: Mutex::new(None),
+            verdict: Mutex::new(None),
+        };
+        let exchange = Arc::new(ClauseExchange::new());
+        // Split the memory budget evenly; keep a sane per-worker floor so
+        // a huge race under a tiny cap does not strangle every engine.
+        // Worker 0 runs the single engine's configuration under the full
+        // cap.
+        let worker_mem = config.mem_limit.map(|m| (m / n).max(1 << 16));
+        let mut engines = Vec::with_capacity(n);
+        for w in 0..n {
+            let features = worker_features(config.features, config.seed, w, n);
+            let mem = if w == 0 { config.mem_limit } else { worker_mem };
+            let mut descent = Descent::build(model, features, mem)?;
+            let engine = &mut descent.engine;
+            engine.set_interrupt(Arc::clone(&race.stop));
+            engine.set_exchange(Arc::clone(&exchange), w, model.num_vars());
+            // Worker 0 exports clauses but never imports: a foreign
+            // clause would move its search off the single engine's.
+            engine.set_exchange_import(w != 0);
+            if model.objective().is_some() {
+                engine.set_bound_watch(Arc::clone(&race.best_objective));
+            }
+            engines.push(Some(descent));
+        }
+        Ok((race, engines))
+    }
+
+    /// Offers an incumbent to the shared slot. Returns whether it
+    /// improved on the best one.
+    pub(crate) fn offer(
         &self,
-        solution: Assignment,
+        solution: &Assignment,
         objective: i64,
         source: IncumbentSource,
     ) -> bool {
         let mut slot = lock_recover(&self.incumbent);
-        let improves = slot
-            .as_ref()
-            .map(|&(_, b, _)| objective < b)
-            .unwrap_or(true);
-        if improves {
-            *slot = Some((solution, objective, source));
-            self.best_objective.fetch_min(objective, Ordering::SeqCst);
+        if slot.as_ref().is_some_and(|&(_, best, _)| objective >= best) {
+            return false;
         }
-        improves
+        *slot = Some((solution.clone(), objective, source));
+        self.best_objective.fetch_min(objective, Ordering::SeqCst);
+        true
+    }
+
+    /// The shared incumbent, when it is strictly better than `own`.
+    pub(crate) fn better_than(
+        &self,
+        own: Option<i64>,
+    ) -> Option<(Assignment, i64, IncumbentSource)> {
+        if !self.improves_on(own) {
+            return None;
+        }
+        lock_recover(&self.incumbent)
+            .clone()
+            .filter(|&(_, objective, _)| own.is_none_or(|o| objective < o))
+    }
+
+    fn improves_on(&self, own: Option<i64>) -> bool {
+        let global = self.best_objective.load(Ordering::SeqCst);
+        global != i64::MAX && own.is_none_or(|o| global < o)
+    }
+
+    /// Whether a descent holding the incumbent `own` whose search
+    /// stopped undecided should re-enter: the race is still live and a
+    /// strictly better incumbent woke it (its bound watch fired).
+    pub(crate) fn woke(&self, own: Option<i64>, deadline: Option<Instant>) -> bool {
+        self.improves_on(own)
+            && !self.stop.load(Ordering::Relaxed)
+            && deadline.is_none_or(|d| Instant::now() < d)
+    }
+
+    /// Records the query's first decisive answer and ends the race.
+    fn settle(&self, verdict: Verdict) {
+        lock_recover(&self.verdict).get_or_insert(verdict);
+        self.stop.store(true, Ordering::SeqCst);
     }
 }
 
 /// The diversified configuration for worker `w` of `n`.
 ///
 /// Worker 0 is pinned to the solver's baseline configuration *verbatim*
-/// — not even the seed is overridden — so its search trace up to the
-/// first decisive verdict is the sequential solver's and `threads > 1`
-/// can never lose a cell that `threads = 1` decides (it also skips
-/// clause imports and keeps the full memory cap; see [`run_worker`]).
+/// — not even the seed is overridden — so until a foreign incumbent
+/// reaches it, it runs the single engine's descent (it also skips clause
+/// imports and keeps the full memory cap; see [`Race::enlist`]).
 /// The rest vary seed, tie-breaking, polarity and restart cadence, with
-/// one static-order (VSIDS-off) worker in portfolios of four or more.
+/// one static-order (VSIDS-off) worker in races of four or more.
 fn worker_features(base: EngineFeatures, seed: u64, w: usize, n: usize) -> EngineFeatures {
     if w == 0 {
         return base;
@@ -291,179 +341,25 @@ fn worker_features(base: EngineFeatures, seed: u64, w: usize, n: usize) -> Engin
     f
 }
 
-/// Builds a fresh engine over `model` with the given features. Returns
-/// `None` if root-level propagation already refutes the model.
-fn build_engine(
-    model: &Model,
-    features: EngineFeatures,
-    mem_limit: Option<usize>,
-) -> Option<Engine> {
-    let mut engine = Engine::new(model.num_vars());
-    engine.set_features(features);
-    if let Some(bytes) = mem_limit {
-        engine.set_mem_limit(bytes);
-    }
-    for &(var, priority, phase) in model.branch_hints() {
-        engine.set_branch_hint(var, priority, phase);
-    }
-    for c in model.constraints() {
-        for nc in normalize(c) {
-            if !engine.add_norm(nc) {
-                return None;
-            }
-        }
-    }
-    Some(engine)
-}
-
-/// One worker's branch-and-bound loop. Returns its verdict, stats and
-/// the number of times it consumed a globally improved bound mid-solve.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    model: &Model,
-    objective: Option<&LinExpr>,
-    features: EngineFeatures,
-    budget: Budget,
-    shared: &Shared,
-    incumbents_found: &AtomicI64,
-    worker_id: usize,
-    mem_limit: Option<usize>,
-) -> (WorkerVerdict, EngineStats, u64) {
-    let chaos = CHAOS_PANIC_WORKER.load(Ordering::Relaxed);
-    if chaos == worker_id || chaos == CHAOS_PANIC_ALL {
-        panic!("chaos injection: worker {worker_id} deliberately panicked");
-    }
-    let Some(mut engine) = build_engine(model, features, mem_limit) else {
-        return (WorkerVerdict::Infeasible, EngineStats::default(), 0);
-    };
-    engine.set_interrupt(Arc::clone(&shared.stop));
-    engine.set_exchange(Arc::clone(&shared.exchange), worker_id, model.num_vars());
-    if worker_id == 0 {
-        // The pinned worker exports clauses but never imports: a foreign
-        // clause would perturb its search away from the sequential trace
-        // it is pinned to reproduce.
-        engine.set_exchange_import(false);
-    }
-    if objective.is_some() {
-        // React to foreign incumbents *inside* the search: when the
-        // global best drops below this worker's own bound, the engine
-        // yields Unknown at its next poll and the loop below re-enters
-        // with the tighter permanent constraint.
-        engine.set_bound_watch(Arc::clone(&shared.best_objective));
-    }
-
-    // The bound this worker has constrained the objective to (i64::MAX =
-    // no bound constraint added yet). Only ever tightens.
-    let mut my_bound = i64::MAX;
-    // Times this worker was woken by the bound watch and re-entered with
-    // a strictly tighter bound.
-    let mut tightenings = 0u64;
-
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            return (WorkerVerdict::Inconclusive, engine.stats(), tightenings);
-        }
-        // Prune against the globally best incumbent before searching.
-        if let Some(obj) = objective {
-            let global = shared.best_objective.load(Ordering::SeqCst);
-            if global != i64::MAX && my_bound > global.saturating_sub(1) {
-                let target = global - 1;
-                let bound = Constraint {
-                    expr: obj.clone(),
-                    cmp: Cmp::Le,
-                    rhs: target,
-                };
-                my_bound = target;
-                engine.set_bound_tag(my_bound);
-                let mut closed = false;
-                for nc in normalize(&bound) {
-                    if !engine.add_norm(nc) {
-                        closed = true;
-                        break;
-                    }
-                }
-                if closed {
-                    return (
-                        WorkerVerdict::ExhaustedBelow(my_bound),
-                        engine.stats(),
-                        tightenings,
-                    );
-                }
-            }
-        }
-        match engine.solve(budget) {
-            SatResult::Unsat => {
-                let verdict = if my_bound == i64::MAX {
-                    WorkerVerdict::Infeasible
-                } else {
-                    WorkerVerdict::ExhaustedBelow(my_bound)
-                };
-                return (verdict, engine.stats(), tightenings);
-            }
-            SatResult::Unknown => {
-                // Distinguish a bound-watch wake-up from budget
-                // exhaustion: woken workers loop back (the top of the
-                // loop posts the strictly tighter bound, so this
-                // terminates — each wake requires a strictly better
-                // global incumbent), exhausted ones retire.
-                let woken = objective.is_some() && {
-                    let global = shared.best_objective.load(Ordering::SeqCst);
-                    global != i64::MAX && my_bound > global.saturating_sub(1)
-                };
-                let live = !shared.stop.load(Ordering::Relaxed)
-                    && budget.deadline.is_none_or(|d| Instant::now() < d);
-                if woken && live {
-                    tightenings += 1;
-                    continue;
-                }
-                return (WorkerVerdict::Inconclusive, engine.stats(), tightenings);
-            }
-            SatResult::Sat => {
-                let solution = Assignment::from_values(
-                    (0..model.num_vars())
-                        .map(|i| engine.model_value(Var(i as u32)))
-                        .collect(),
-                );
-                // Hard validation gate: a worker whose engine produced a
-                // witness violating the original model is faulty — treat
-                // it as dead rather than poisoning the shared incumbent.
-                if model.check(|v| solution.value(v)).is_err() {
-                    return (WorkerVerdict::Inconclusive, engine.stats(), tightenings);
-                }
-                let Some(obj) = objective else {
-                    shared.offer_incumbent(solution, 0, IncumbentSource::Solver);
-                    return (WorkerVerdict::FoundSat, engine.stats(), tightenings);
-                };
-                let val = obj.evaluate(|v| solution.value(v));
-                incumbents_found.fetch_add(1, Ordering::Relaxed);
-                shared.offer_incumbent(solution, val, IncumbentSource::Solver);
-                // Loop: the next iteration tightens to the global best
-                // (which now includes this incumbent) and keeps searching.
-            }
-        }
-    }
-}
-
 /// One heuristic-probe worker: repeatedly runs the probe with
 /// diversified seeds, re-validates every candidate against the model,
-/// and publishes validated solutions as shared incumbents. In a pure
-/// feasibility race a single validated candidate decides the solve; with
-/// an objective the worker keeps racing for improvements until the
+/// and offers validated solutions as shared incumbents. A candidate that
+/// answers the query on its own (see [`Query::settles`]) decides the
+/// race; otherwise the worker keeps racing for improvements until the
 /// budget ends, the race is decided, or the probe source is exhausted
 /// (returns `None`).
 ///
-/// Probes never produce verdicts: an invalid candidate is discarded and
-/// the worker simply tries again, so a buggy or adversarial probe can
-/// waste its own thread but cannot flip a verdict or corrupt the race.
-#[allow(clippy::too_many_arguments)]
+/// Probes never produce refutations: an invalid candidate is discarded
+/// and the worker simply tries again, so a buggy or adversarial probe
+/// can waste its own thread but cannot flip a verdict or corrupt the
+/// race.
 fn run_probe_worker(
     model: &Model,
-    objective: Option<&LinExpr>,
     probe: &dyn HeuristicProbe,
-    budget: Budget,
-    shared: &Shared,
-    probe_incumbents: &AtomicI64,
-    worker_id: usize,
+    q: &Query,
+    race: &Race,
+    accepted: &AtomicU64,
+    worker: usize,
     seed: u64,
 ) {
     let mut attempt = 0u64;
@@ -472,95 +368,76 @@ fn run_probe_worker(
         // thread was scheduled still runs the probe once, and the probe
         // contract (poll `stop`) makes that call return promptly.
         if attempt > 0
-            && (shared.stop.load(Ordering::Relaxed)
-                || budget.deadline.is_some_and(|d| Instant::now() >= d))
+            && (race.stop.load(Ordering::Relaxed)
+                || q.budget.deadline.is_some_and(|d| Instant::now() >= d))
         {
             return;
         }
         attempt += 1;
         let diversified =
-            seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(((worker_id as u64) << 24) | attempt);
-        let Some(values) = probe.probe(diversified, &shared.stop) else {
+            seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(((worker as u64) << 24) | attempt);
+        let Some(values) = probe.probe(diversified, &race.stop) else {
             return; // source exhausted — retire this worker
         };
-        if values.len() != model.num_vars() {
-            continue;
-        }
-        let solution = Assignment::from_values(values);
         // Validation gate: nothing a probe says is trusted unchecked.
-        if model.check(|v| solution.value(v)).is_err() {
+        let Some((solution, objective)) = validate(model, values) else {
             continue;
+        };
+        let improved = race.offer(&solution, objective, IncumbentSource::Heuristic);
+        let outcome = Outcome::found(model, solution, objective);
+        if q.settles(&outcome) {
+            accepted.fetch_add(1, Ordering::Relaxed);
+            race.settle(Verdict {
+                worker: None,
+                outcome,
+                core: Vec::new(),
+                source: IncumbentSource::Heuristic,
+            });
+            return;
         }
-        match objective {
-            None => {
-                // A validated assignment decides the feasibility race.
-                shared.offer_incumbent(solution, 0, IncumbentSource::Heuristic);
-                probe_incumbents.fetch_add(1, Ordering::Relaxed);
-                shared.stop.store(true, Ordering::SeqCst);
-                return;
-            }
-            Some(obj) => {
-                let val = obj.evaluate(|v| solution.value(v));
-                if shared.offer_incumbent(solution, val, IncumbentSource::Heuristic) {
-                    probe_incumbents.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        if improved {
+            accepted.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Solves `model` with a portfolio of `threads` diversified workers.
+/// Answers `q` by racing every live descent in `engines` on scoped
+/// threads, next to `config.probe_workers` probe threads (at least one)
+/// when a probe is supplied. Updates the race attribution fields of
+/// `stats`; the caller tallies the engines' work. A worker that panics
+/// is quarantined: its slot becomes `None` for good.
 ///
-/// Called by [`crate::Solver::solve`] when `config.threads > 1`; not
-/// intended to be used directly.
-pub(crate) fn solve_portfolio(
+/// The answer is the first decisive one; failing that, an optimising
+/// query reports the best shared incumbent as [`Outcome::Feasible`] and
+/// a feasibility query reports [`Outcome::Unknown`]. A solution is
+/// re-validated against `model` before it is returned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn race(
+    race: &Race,
+    engines: &mut [Option<Descent>],
     model: &Model,
-    config: &SolverConfig,
-    threads: usize,
+    q: &Query,
     probe: Option<&dyn HeuristicProbe>,
-    stats: &mut SolveStats,
-    deadline: Option<Instant>,
+    config: &SolverConfig,
     interrupt: Option<&Arc<AtomicBool>>,
-) -> Outcome {
-    let start = Instant::now();
-    let budget = Budget {
-        deadline,
-        conflict_limit: config.conflict_limit,
-    };
-    let objective = model.objective().map(LinExpr::normalized);
-
-    let shared = Shared {
-        stop: Arc::new(AtomicBool::new(false)),
-        best_objective: Arc::new(AtomicI64::new(i64::MAX)),
-        incumbent: Mutex::new(None),
-        exchange: Arc::new(ClauseExchange::new()),
-    };
-    let incumbents_found = AtomicI64::new(0);
-    let probe_incumbents = AtomicI64::new(0);
-    let probe_panics = AtomicUsize::new(0);
-    // Heuristic probes race on their own threads, first-class members of
-    // the portfolio: `probe_workers` scales the count, and supplying a
-    // probe always engages at least one.
+    stats: &mut SolveStats,
+) -> (Outcome, Vec<Lit>) {
+    race.stop.store(false, Ordering::SeqCst);
+    *lock_recover(&race.verdict) = None;
     let probe_threads = if probe.is_some() {
         config.probe_workers.max(1)
     } else {
         0
     };
-    // Split the memory budget evenly; keep a sane per-worker floor so a
-    // huge portfolio under a tiny cap does not strangle every engine.
-    // Worker 0 is exempt: it is pinned to reproduce the sequential
-    // solver, which runs under the full cap.
-    let worker_mem = config.mem_limit.map(|m| (m / threads.max(1)).max(1 << 16));
-
-    // `None` = the worker panicked and was quarantined.
-    let results: Vec<Option<(WorkerVerdict, EngineStats, u64)>> = std::thread::scope(|scope| {
+    let accepted = AtomicU64::new(0);
+    let panics = AtomicU32::new(0);
+    std::thread::scope(|scope| {
         // Relay an external cancellation flag (e.g. a serving layer's
-        // shutdown signal) into the portfolio's own stop flag. The relay
-        // must not *be* the stop flag: the race sets `stop` on every
-        // decisive verdict, and that must never leak back into the
-        // caller's flag.
+        // shutdown signal) into the race's own stop flag. The relay must
+        // not *be* the stop flag: the race sets `stop` on every decisive
+        // verdict, and that must never leak back into the caller's flag.
         if let Some(external) = interrupt {
-            let stop = Arc::clone(&shared.stop);
+            let stop = Arc::clone(&race.stop);
             let external = Arc::clone(external);
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
@@ -574,195 +451,94 @@ pub(crate) fn solve_portfolio(
         }
         for p in 0..probe_threads {
             let probe = probe.expect("probe_threads > 0 implies a probe");
-            let shared = &shared;
-            let objective = objective.as_ref();
-            let probe_incumbents = &probe_incumbents;
-            let probe_panics = &probe_panics;
-            let seed = config.seed;
+            let (accepted, panics) = (&accepted, &panics);
             scope.spawn(move || {
                 // Quarantined like CDCL workers: a panicking probe is
                 // dropped and the exact race continues without it.
-                if catch_unwind(AssertUnwindSafe(|| {
-                    run_probe_worker(
-                        model,
-                        objective,
-                        probe,
-                        budget,
-                        shared,
-                        probe_incumbents,
-                        p,
-                        seed,
-                    )
-                }))
-                .is_err()
-                {
-                    probe_panics.fetch_add(1, Ordering::Relaxed);
+                let run = || run_probe_worker(model, probe, q, race, accepted, p, config.seed);
+                if catch_unwind(AssertUnwindSafe(run)).is_err() {
+                    panics.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let features = worker_features(config.features, config.seed, w, threads);
-                let shared = &shared;
-                let objective = objective.as_ref();
-                let incumbents_found = &incumbents_found;
-                let mem = if w == 0 { config.mem_limit } else { worker_mem };
+        let workers: Vec<_> = engines
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(w, slot)| {
+                let panics = &panics;
                 scope.spawn(move || {
-                    // Quarantine panics: the worker's state is dropped,
-                    // the race continues on the survivors.
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(
-                            model,
-                            objective,
-                            features,
-                            budget,
-                            shared,
-                            incumbents_found,
-                            w,
-                            mem,
-                        )
-                    }))
-                    .ok();
-                    // A decisive verdict ends the race for everyone.
-                    if matches!(&out, Some((v, _, _)) if *v != WorkerVerdict::Inconclusive) {
-                        shared.stop.store(true, Ordering::SeqCst);
+                    let answered = catch_unwind(AssertUnwindSafe(|| {
+                        let chaos = CHAOS_PANIC_WORKER.load(Ordering::Relaxed);
+                        if chaos == w || chaos == CHAOS_PANIC_ALL {
+                            panic!("chaos injection: worker {w} deliberately panicked");
+                        }
+                        let descent = slot.as_mut().expect("only live workers race");
+                        let mut core = Vec::new();
+                        let outcome = descent.answer(model, q, Some(race), &mut core);
+                        (outcome, core, descent.best_source)
+                    }));
+                    match answered {
+                        Ok((outcome, core, source)) if q.settles(&outcome) => {
+                            race.settle(Verdict {
+                                worker: Some(w),
+                                outcome,
+                                core,
+                                source,
+                            });
+                        }
+                        Ok(_) => {}
+                        Err(_) => {
+                            // Quarantine: the descent's state is dropped
+                            // and it sits out every later query.
+                            *slot = None;
+                            panics.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
-                    out
                 })
             })
             .collect();
-        let results: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or(None))
-            .collect();
-        // Every worker is done: release the relay thread (if any) so the
-        // scope can join it even when no verdict set the flag.
-        shared.stop.store(true, Ordering::SeqCst);
-        results
+        for worker in workers {
+            worker
+                .join()
+                .expect("a worker's panic is caught inside the worker");
+        }
+        // Every worker is done: release the relay and probe threads so
+        // the scope can join them even when no verdict set the flag.
+        race.stop.store(true, Ordering::SeqCst);
     });
 
-    // Aggregate statistics across workers.
-    let panics = results.iter().filter(|r| r.is_none()).count() as u32
-        + probe_panics.load(Ordering::Relaxed) as u32;
-    let mut engine = EngineStats::default();
-    let mut winner = None;
-    let mut bound_tightenings = 0u64;
-    for (w, (verdict, s, tightenings)) in results
-        .iter()
-        .enumerate()
-        .filter_map(|(w, r)| r.as_ref().map(|triple| (w, triple)))
-    {
-        bound_tightenings += tightenings;
-        engine.conflicts += s.conflicts;
-        engine.decisions += s.decisions;
-        engine.propagations += s.propagations;
-        engine.restarts += s.restarts;
-        engine.deleted_clauses += s.deleted_clauses;
-        engine.learnt_clauses += s.learnt_clauses;
-        engine.lbd_total += s.lbd_total;
-        engine.deleted_mid += s.deleted_mid;
-        engine.deleted_local += s.deleted_local;
-        engine.kept_core += s.kept_core;
-        engine.kept_mid += s.kept_mid;
-        engine.kept_local += s.kept_local;
-        engine.imported_clauses += s.imported_clauses;
-        engine.exported_clauses += s.exported_clauses;
-        engine.inprocessings += s.inprocessings;
-        engine.vivified_lits += s.vivified_lits;
-        engine.subsumed_clauses += s.subsumed_clauses;
-        engine.strengthened_lits += s.strengthened_lits;
-        engine.gc_runs += s.gc_runs;
-        if winner.is_none() && *verdict != WorkerVerdict::Inconclusive {
-            winner = Some(w as u32);
-        }
+    stats.worker_panics += panics.into_inner();
+    if probe_threads > 0 {
+        stats.probe_workers = probe_threads as u32;
     }
-    stats.engine = engine;
-    stats.incumbents = incumbents_found.load(Ordering::Relaxed).max(0) as u64;
-    stats.workers = threads as u32;
-    stats.winner = winner;
-    stats.worker_panics = panics;
-    stats.probe_workers = probe_threads as u32;
-    stats.probe_incumbents = probe_incumbents.load(Ordering::Relaxed).max(0) as u64;
-    stats.bound_tightenings = bound_tightenings;
-    stats.elapsed = start.elapsed();
-
-    // Graceful degradation: every worker died before reaching any
-    // conclusion. Rather than reporting Unknown on a healthy model, run
-    // a fresh single-threaded solve on the calling thread with whatever
-    // wall-clock budget remains.
-    if results.iter().all(Option::is_none) {
-        let fallback = SolverConfig {
-            threads: 1,
-            presolve: false,
-            // The outer caller certifies Infeasible answers itself.
-            certify: false,
-            time_limit: deadline.map(|d| d.saturating_duration_since(Instant::now())),
-            ..*config
-        };
-        let mut solver = Solver::with_config(fallback);
-        if let Some(flag) = interrupt {
-            solver.set_interrupt(Arc::clone(flag));
-        }
-        let out = match probe {
-            Some(p) => solver.solve_with_probe(model, p),
-            None => solver.solve(model),
-        };
-        let fb = solver.stats();
-        stats.engine = fb.engine;
-        stats.incumbents = fb.incumbents;
-        stats.probe_workers += fb.probe_workers;
-        stats.probe_incumbents += fb.probe_incumbents;
-        stats.incumbent_source = fb.incumbent_source;
-        stats.winner = None;
-        stats.elapsed = start.elapsed();
-        return out;
-    }
-
-    // Re-validate the final incumbent against the original model: the
-    // per-worker gate already filtered engine-level corruption, but the
-    // slot itself could have been written by a worker that later
-    // panicked, so trust nothing that does not check out.
-    let incumbent = lock_recover(&shared.incumbent)
-        .take()
-        .filter(|(sol, _, _)| model.check(|v| sol.value(v)) == Ok(()));
-    if let Some((_, _, source)) = &incumbent {
-        stats.incumbent_source = Some(*source);
-    }
-    let verdicts = || results.iter().filter_map(|r| r.as_ref().map(|(v, _, _)| v));
-    let infeasible = verdicts().any(|v| *v == WorkerVerdict::Infeasible);
-    let exhausted = verdicts()
-        .filter_map(|v| match v {
-            WorkerVerdict::ExhaustedBelow(b) => Some(*b),
-            _ => None,
-        })
-        .max();
-
-    match (incumbent, objective) {
-        // Feasibility race: a worker (or a validated probe) decided SAT.
-        (Some((solution, _, _)), None) => Outcome::Optimal {
-            solution,
-            objective: 0,
-        },
-        (Some((solution, objective, _)), Some(_)) => {
-            // Optimal iff some worker exhausted the space below the best
-            // incumbent. `exhausted >= objective - 1` can only hold with
-            // equality (a strictly better incumbent would contradict the
-            // exhaustion proof), but compare defensively.
-            let proven = exhausted.map(|b| b >= objective - 1).unwrap_or(false);
-            if proven {
-                Outcome::Optimal {
-                    solution,
-                    objective,
-                }
-            } else {
+    stats.probe_incumbents += accepted.into_inner();
+    let verdict = lock_recover(&race.verdict).take();
+    stats.winner = verdict.as_ref().and_then(|v| v.worker).map(|w| w as u32);
+    let (outcome, core, source) = match verdict {
+        Some(v) => (v.outcome, v.core, v.source),
+        None if q.optimize => match lock_recover(&race.incumbent).clone() {
+            Some((solution, objective, source)) => (
                 Outcome::Feasible {
                     solution,
                     objective,
-                }
-            }
+                },
+                Vec::new(),
+                source,
+            ),
+            None => (Outcome::Unknown, Vec::new(), IncumbentSource::Solver),
+        },
+        None => (Outcome::Unknown, Vec::new(), IncumbentSource::Solver),
+    };
+    // Re-validate the answer against the model: trust nothing from a
+    // worker that does not check out.
+    match outcome.solution() {
+        Some(s) if model.check(|v| s.value(v)).is_err() => (Outcome::Unknown, Vec::new()),
+        Some(_) => {
+            stats.incumbent_source = Some(source);
+            (outcome, core)
         }
-        (None, _) if infeasible => Outcome::Infeasible,
-        (None, _) => Outcome::Unknown,
+        None => (outcome, core),
     }
 }
 
@@ -770,10 +546,9 @@ pub(crate) fn solve_portfolio(
 mod tests {
     use super::*;
 
-    /// Worker 0 is pinned to the undiversified sequential configuration:
-    /// whatever the `threads = 1` engine decides, one portfolio member
-    /// is always running that exact search, so raising the thread count
-    /// can never lose a verdict the sequential solver finds in budget.
+    /// Worker 0 is pinned to the undiversified single-engine
+    /// configuration: until a foreign incumbent reaches it, one racing
+    /// descent is always running the `threads = 1` search.
     #[test]
     fn worker_zero_runs_the_sequential_configuration() {
         let base = EngineFeatures::default();

@@ -1,7 +1,7 @@
 //! The public solving interface: feasibility and branch-and-bound
 //! optimisation on top of the CDCL engine.
 //!
-//! Optimisation is an **incremental assumption-based descent**: one
+//! Optimisation is an **incremental assumption-based descent**: a
 //! persistent engine holds the model; each incumbent's strengthened bound
 //! `obj <= val - 1` is added *reified* under a fresh activation literal
 //! and probed by assuming the activation chain, never as a permanent
@@ -9,31 +9,34 @@
 //! the whole descent (and for later queries with different assumption
 //! sets), which is the main solver-side lever on the repeated,
 //! nearly-identical queries of the CGRA min-II ladder.
-//! [`IncrementalSolver`] exposes the persistent engine directly;
-//! [`Solver`] keeps the one-shot interface on top of it.
+//! [`IncrementalSolver`] runs this descent, on one engine or as a race
+//! of several (see [`crate::portfolio`]); [`Solver`] keeps the one-shot
+//! interface on top of it.
 
 use crate::checker::{self, CheckOutcome};
 use crate::engine::{Budget, Engine, EngineFeatures, EngineStats, SatResult};
 use crate::model::{Cmp, Constraint, LinExpr, Lit, Model, Var};
 use crate::normalize::{normalize, NormConstraint};
+use crate::portfolio::{self, Race};
 use crate::presolve::{
     presolve, LitDisposition, PresolveConfig, PresolveStats, Presolved, Reconstruction,
 };
 use crate::proof::{Certificate, ProofLog, ProofOrigin};
+use std::fmt;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A cheap randomized feasibility heuristic raced against the exact
 /// engines as a first-class incumbent source (see
-/// [`Solver::solve_with_probe`]).
+/// [`IncrementalSolver::with_probe`] and [`Solver::solve_with_probe`]).
 ///
-/// With `threads > 1` the portfolio runs [`SolverConfig::probe_workers`]
-/// dedicated probe threads alongside the CDCL workers; every candidate a
+/// With `threads > 1` every query races [`SolverConfig::probe_workers`]
+/// dedicated probe threads alongside the engines; every candidate a
 /// probe publishes is re-validated against the model and, if valid,
 /// becomes a shared incumbent whose objective value bounds every engine
 /// mid-solve. With `threads = 1` a single synchronous probe attempt
-/// seeds the descent before search starts.
+/// comes before search starts.
 ///
 /// Probes are **advisory only**: an invalid candidate is discarded (the
 /// solver never trusts one unchecked), and a probe can never cause an
@@ -54,7 +57,7 @@ pub trait HeuristicProbe: Send + Sync {
 /// Where the solution backing an outcome was first discovered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncumbentSource {
-    /// A CDCL engine found it (sequential descent or a portfolio worker).
+    /// A CDCL engine found it (the one engine or a racing worker).
     Solver,
     /// A [`HeuristicProbe`] published it and validation accepted it.
     Heuristic,
@@ -76,10 +79,9 @@ pub struct SolverConfig {
     pub objective_stop: Option<i64>,
     /// Engine feature toggles (ablation studies; default all enabled).
     pub features: EngineFeatures,
-    /// Number of portfolio workers: `1` (the default) solves on the
-    /// calling thread exactly as before; `0` means "one per available
-    /// core"; `n > 1` races `n` diversified engines (see
-    /// [`crate::portfolio`]).
+    /// Number of engines: `1` (the default) solves on the calling
+    /// thread; `0` means "one per available core"; `n > 1` races `n`
+    /// diversified engines (see [`crate::portfolio`]).
     pub threads: usize,
     /// Base seed for engine diversification (worker seeds derive from
     /// it). With `threads = 1` the seed only matters if
@@ -97,21 +99,23 @@ pub struct SolverConfig {
     /// the contradiction. The resulting [`Certificate`] is available from
     /// [`Solver::certificate`] / [`IncrementalSolver::certificate`]. The
     /// replay gets a fresh `time_limit` budget of its own, so certified
-    /// infeasible solves can take up to twice the configured limit.
+    /// infeasible solves can take up to twice the configured limit; its
+    /// time counts in [`SolveStats::elapsed`].
     pub certify: bool,
     /// Approximate byte cap on each engine's learnt database plus proof
     /// log. Exceeding it triggers an emergency clause-database reduction
     /// and, failing that, a clean best-found/`Unknown` exit instead of
     /// unbounded growth. `None` (the default) disables the watchdog
-    /// (proof logs still default to [`ProofLog::DEFAULT_CAP`]). Portfolio
-    /// workers split the cap evenly.
+    /// (proof logs still default to [`ProofLog::DEFAULT_CAP`]). With
+    /// several engines, worker 0 keeps the full cap and the others get
+    /// an even split.
     pub mem_limit: Option<usize>,
-    /// Number of heuristic-probe threads the portfolio races alongside
-    /// the CDCL workers when a probe is supplied via
-    /// [`Solver::solve_with_probe`] and `threads > 1`. `0` (the default)
-    /// still runs one probe thread when a probe is supplied — the knob
-    /// only scales the count. Ignored when no probe is supplied; with
-    /// `threads = 1` the probe runs once synchronously instead.
+    /// Number of heuristic-probe threads that race the engines when a
+    /// probe is supplied (see [`IncrementalSolver::with_probe`]) and
+    /// `threads > 1`. `0` (the default) still runs one probe thread when
+    /// a probe is supplied — the knob only scales the count. Ignored
+    /// when no probe is supplied; with `threads = 1` the probe runs once
+    /// synchronously instead.
     pub probe_workers: usize,
 }
 
@@ -246,20 +250,20 @@ impl Outcome {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveStats {
     /// Engine statistics accumulated over all branch-and-bound rounds
-    /// (summed across every portfolio worker when `threads > 1`).
+    /// (summed across the live engines when `threads > 1`).
     pub engine: EngineStats,
     /// Number of incumbent solutions found during optimisation.
     pub incumbents: u64,
-    /// Total wall-clock time.
+    /// Total wall-clock time, certification replays included.
     pub elapsed: Duration,
-    /// Number of portfolio workers that ran (1 for the sequential path).
+    /// Number of engines the solver loaded (1 for a single engine).
     pub workers: u32,
-    /// Index of the first worker that produced a decisive verdict, when
-    /// the portfolio ran.
+    /// Index of the worker that gave the most recent race its decisive
+    /// verdict, when engines raced and one did.
     pub winner: Option<u32>,
     /// Presolve reduction counters (all zero when presolve is disabled).
     pub presolve: PresolveStats,
-    /// Number of portfolio workers that panicked and were quarantined
+    /// Number of racing workers that panicked and were quarantined
     /// (their partial state dropped; the race continued without them).
     pub worker_panics: u32,
     /// Number of heuristic-probe workers that ran (0 when no probe was
@@ -268,16 +272,20 @@ pub struct SolveStats {
     /// Validated heuristic incumbents accepted from probes (each one
     /// passed the full model check before being recorded).
     pub probe_incumbents: u64,
-    /// Times a CDCL worker consumed a globally improved incumbent bound
+    /// Times a racing worker consumed a globally improved incumbent
     /// mid-solve: woken by the engine's bound watch, it re-entered the
-    /// search with a strictly tighter permanent bound constraint.
+    /// search with a strictly tighter reified bound.
     pub bound_tightenings: u64,
     /// Origin of the solution backing the most recent outcome, when
     /// there is one.
     pub incumbent_source: Option<IncumbentSource>,
 }
 
-/// The 0-1 ILP solver.
+/// The 0-1 ILP solver: a one-shot wrapper around [`IncrementalSolver`].
+///
+/// Every call builds an `IncrementalSolver` for the model, asks it one
+/// optimising query and keeps that query's statistics, unsat core and
+/// certificate.
 ///
 /// # Examples
 ///
@@ -312,25 +320,22 @@ impl Solver {
     pub fn with_config(config: SolverConfig) -> Self {
         Solver {
             config,
-            stats: SolveStats::default(),
-            last_core: Vec::new(),
-            certificate: None,
-            interrupt: None,
+            ..Self::default()
         }
     }
 
     /// Installs an external cooperative-cancellation flag. When another
-    /// thread sets it, every engine this solver runs — sequential or
-    /// portfolio — returns [`Outcome::Unknown`] at its next budget poll
-    /// (or [`Outcome::Feasible`] best-found if the descent already holds
-    /// an incumbent). This is how a serving layer implements graceful
+    /// thread sets it, every engine this solver runs returns
+    /// [`Outcome::Unknown`] at its next budget poll (or
+    /// [`Outcome::Feasible`] best-found if the descent already holds an
+    /// incumbent). This is how a serving layer implements graceful
     /// shutdown and admission-control rejection of in-flight work
     /// without killing threads.
     pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
         self.interrupt = Some(flag);
     }
 
-    /// Statistics of the most recent [`Solver::solve`] call.
+    /// Statistics of the most recent solve, certification included.
     pub fn stats(&self) -> SolveStats {
         self.stats
     }
@@ -355,150 +360,8 @@ impl Solver {
     /// are exactly those of solving `model` with each assumption added as
     /// a unit constraint, but on [`Outcome::Infeasible`] caused by the
     /// assumptions, [`Solver::unsat_core`] names a responsible subset.
-    ///
-    /// Assumption solving runs on the sequential engine regardless of
-    /// `config.threads` (the portfolio races independent engines and has
-    /// no shared assumption trail).
     pub fn solve_under_assumptions(&mut self, model: &Model, assumptions: &[Lit]) -> Outcome {
-        self.certificate = None;
-        let start = Instant::now();
-        let mut facts = Vec::new();
-        let out = self.solve_under_assumptions_inner(model, assumptions, &mut facts);
-        if self.config.certify && out == Outcome::Infeasible {
-            self.certificate = Some(certify_infeasibility(
-                model,
-                assumptions,
-                &facts,
-                &self.config,
-            ));
-            self.stats.elapsed = start.elapsed();
-        }
-        out
-    }
-
-    fn solve_under_assumptions_inner(
-        &mut self,
-        model: &Model,
-        assumptions: &[Lit],
-        facts: &mut Vec<Lit>,
-    ) -> Outcome {
-        self.stats = SolveStats::default();
-        self.last_core.clear();
-        let start = Instant::now();
-        let deadline = self.config.time_limit.map(|d| start + d);
-        self.stats.workers = 1;
-        if !self.config.presolve {
-            let assoc: Vec<(Lit, Lit)> = assumptions.iter().map(|&a| (a, a)).collect();
-            return self.solve_assumed_reduced(model, assumptions, &assoc, start, deadline);
-        }
-        let pcfg = PresolveConfig {
-            probe_budget: self.config.presolve_probe_budget,
-            deadline,
-            ..PresolveConfig::default()
-        };
-        match presolve(model, &pcfg) {
-            Presolved::Infeasible { stats } => {
-                self.stats.presolve = stats;
-                self.stats.elapsed = start.elapsed();
-                // The model is infeasible without any assumption's help.
-                Outcome::Infeasible
-            }
-            Presolved::Reduced {
-                model: red,
-                reconstruction,
-                stats,
-            } => {
-                self.stats.presolve = stats;
-                if self.config.certify {
-                    *facts = presolve_fixed_lits(&reconstruction, model.num_vars());
-                }
-                let mut mapped = Vec::with_capacity(assumptions.len());
-                let mut assoc = Vec::with_capacity(assumptions.len());
-                for &a in assumptions {
-                    match reconstruction.map_lit(a) {
-                        // Already implied by the model — or a don't-care
-                        // elimination whose picked value agrees with the
-                        // assumption (the expansion witnesses it): drop.
-                        LitDisposition::Fixed(true) | LitDisposition::Free(true) => {}
-                        // Refuted by the model alone: a one-literal core.
-                        LitDisposition::Fixed(false) => {
-                            self.last_core = vec![a];
-                            self.stats.elapsed = start.elapsed();
-                            return Outcome::Infeasible;
-                        }
-                        // The assumption contradicts a value presolve
-                        // merely *chose* for an eliminated variable; the
-                        // reduced model cannot answer for it. Solve the
-                        // original model without presolve instead.
-                        LitDisposition::Free(false) => {
-                            let identity: Vec<(Lit, Lit)> =
-                                assumptions.iter().map(|&l| (l, l)).collect();
-                            return self.solve_assumed_reduced(
-                                model,
-                                assumptions,
-                                &identity,
-                                start,
-                                deadline,
-                            );
-                        }
-                        LitDisposition::Mapped(rl) => {
-                            mapped.push(rl);
-                            assoc.push((rl, a));
-                        }
-                    }
-                }
-                let out = self.solve_assumed_reduced(&red, &mapped, &assoc, start, deadline);
-                self.stats.elapsed = start.elapsed();
-                Self::expand_outcome(out, &reconstruction, model)
-            }
-        }
-    }
-
-    /// Assumption solve on an already-reduced model. `assoc` maps reduced
-    /// assumption literals back to the caller's originals for the core.
-    fn solve_assumed_reduced(
-        &mut self,
-        model: &Model,
-        assumptions: &[Lit],
-        assoc: &[(Lit, Lit)],
-        start: Instant,
-        deadline: Option<Instant>,
-    ) -> Outcome {
-        self.stats.workers = 1;
-        let mut descent = match Descent::build(model, self.config.features, self.config.mem_limit) {
-            Ok(d) => d,
-            Err(stats) => {
-                self.stats.engine = *stats;
-                self.stats.elapsed = start.elapsed();
-                return Outcome::Infeasible;
-            }
-        };
-        if let Some(flag) = &self.interrupt {
-            descent.engine.set_interrupt(Arc::clone(flag));
-        }
-        let budget = Budget {
-            deadline,
-            conflict_limit: self.config.conflict_limit,
-        };
-        let mut core = Vec::new();
-        let out = descent.optimize(
-            model,
-            budget,
-            assumptions,
-            self.config.objective_stop,
-            &mut self.stats.incumbents,
-            &mut core,
-        );
-        if out.solution().is_some() {
-            self.stats.incumbent_source = Some(descent.best_source);
-        }
-        self.stats.engine = descent.engine.stats();
-        self.stats.elapsed = start.elapsed();
-        self.last_core = core
-            .iter()
-            .filter_map(|rl| assoc.iter().find(|(r, _)| r == rl).map(|&(_, a)| a))
-            .collect();
-        out
+        self.run(model, None, assumptions)
     }
 
     /// Solves the model: pure feasibility when no objective is set,
@@ -507,7 +370,7 @@ impl Solver {
     /// Returned solutions always satisfy every model constraint (this is
     /// re-checked internally; see [`Model::check`]).
     pub fn solve(&mut self, model: &Model) -> Outcome {
-        self.solve_probed(model, None)
+        self.run(model, None, &[])
     }
 
     /// Solves the model with a heuristic incumbent source racing the
@@ -516,200 +379,36 @@ impl Solver {
     /// solutions (and hence objective upper bounds) earlier; they can
     /// never prove infeasibility or flip a decided verdict.
     pub fn solve_with_probe(&mut self, model: &Model, probe: &dyn HeuristicProbe) -> Outcome {
-        self.solve_probed(model, Some(probe))
+        self.run(model, Some(probe), &[])
     }
 
-    fn solve_probed(&mut self, model: &Model, probe: Option<&dyn HeuristicProbe>) -> Outcome {
-        self.certificate = None;
-        let start = Instant::now();
-        let mut facts = Vec::new();
-        let out = self.solve_inner(model, probe, &mut facts);
-        if self.config.certify && out == Outcome::Infeasible {
-            self.certificate = Some(certify_infeasibility(model, &[], &facts, &self.config));
-            self.stats.elapsed = start.elapsed();
-        }
-        out
-    }
-
-    fn solve_inner(
+    fn run(
         &mut self,
         model: &Model,
         probe: Option<&dyn HeuristicProbe>,
-        facts: &mut Vec<Lit>,
+        assumptions: &[Lit],
     ) -> Outcome {
-        self.stats = SolveStats::default();
-        let start = Instant::now();
-        // One absolute deadline covers presolve *and* search, so a long
-        // probe pass eats into — never extends — the solve budget.
-        let deadline = self.config.time_limit.map(|d| start + d);
-        if !self.config.presolve {
-            return self.solve_reduced(model, probe, start, deadline);
-        }
-        let pcfg = PresolveConfig {
-            probe_budget: self.config.presolve_probe_budget,
-            deadline,
-            ..PresolveConfig::default()
-        };
-        match presolve(model, &pcfg) {
-            Presolved::Infeasible { stats } => {
-                self.stats.presolve = stats;
-                self.stats.workers = 1;
-                self.stats.elapsed = start.elapsed();
-                Outcome::Infeasible
-            }
-            Presolved::Reduced {
-                model: red,
-                reconstruction,
-                stats,
-            } => {
-                self.stats.presolve = stats;
-                if self.config.certify {
-                    *facts = presolve_fixed_lits(&reconstruction, model.num_vars());
-                }
-                // Probes speak the original model's variable space; the
-                // engines search the reduced one. The adapter translates
-                // every candidate through the reconstruction.
-                let reduced_probe = probe.map(|p| ReducedProbe {
-                    inner: p,
-                    recon: &reconstruction,
-                    reduced_vars: red.num_vars(),
-                });
-                let out = self.solve_reduced(
-                    &red,
-                    reduced_probe.as_ref().map(|p| p as &dyn HeuristicProbe),
-                    start,
-                    deadline,
-                );
-                self.stats.elapsed = start.elapsed();
-                Self::expand_outcome(out, &reconstruction, model)
-            }
-        }
-    }
-
-    /// Maps an outcome on the reduced model back to original variables.
-    fn expand_outcome(out: Outcome, recon: &Reconstruction, original: &Model) -> Outcome {
-        let expand = |solution: &Assignment| {
-            let full = recon.expand(solution);
-            debug_assert_eq!(original.check(|v| full.value(v)), Ok(()));
-            full
-        };
-        match out {
-            Outcome::Optimal {
-                solution,
-                objective,
-            } => Outcome::Optimal {
-                solution: expand(&solution),
-                objective,
-            },
-            Outcome::Feasible {
-                solution,
-                objective,
-            } => Outcome::Feasible {
-                solution: expand(&solution),
-                objective,
-            },
-            other => other,
-        }
-    }
-
-    /// Solves `model` as-is (no presolve): the sequential engine or the
-    /// portfolio, charged against an absolute deadline.
-    fn solve_reduced(
-        &mut self,
-        model: &Model,
-        probe: Option<&dyn HeuristicProbe>,
-        start: Instant,
-        deadline: Option<Instant>,
-    ) -> Outcome {
-        let threads = self.config.effective_threads();
-        if threads > 1 {
-            let out = crate::portfolio::solve_portfolio(
-                model,
-                &self.config,
-                threads,
-                probe,
-                &mut self.stats,
-                deadline,
-                self.interrupt.as_ref(),
-            );
-            self.stats.elapsed = start.elapsed();
-            return out;
-        }
-        self.stats.workers = 1;
-
-        let mut descent = match Descent::build(model, self.config.features, self.config.mem_limit) {
-            Ok(d) => d,
-            Err(stats) => {
-                self.stats.elapsed = start.elapsed();
-                self.stats.engine = *stats;
-                return Outcome::Infeasible;
-            }
-        };
+        let mut inc = IncrementalSolver::build(model, self.config, probe);
         if let Some(flag) = &self.interrupt {
-            descent.engine.set_interrupt(Arc::clone(flag));
+            inc.set_interrupt(Arc::clone(flag));
         }
-        // Sequential flavour of heuristic seeding: one synchronous probe
-        // attempt before the search. A validated candidate decides pure
-        // feasibility outright; with an objective it seeds the descent's
-        // incumbent, so the first bound posted is already below a real
-        // solution instead of being discovered from above.
-        if let Some(p) = probe {
-            self.stats.probe_workers = 1;
-            let stop = AtomicBool::new(false);
-            if let Some((solution, val)) = validated_probe(model, p, self.config.seed, &stop) {
-                self.stats.probe_incumbents += 1;
-                if descent.objective.is_none() {
-                    self.stats.incumbent_source = Some(IncumbentSource::Heuristic);
-                    self.stats.engine = descent.engine.stats();
-                    self.stats.elapsed = start.elapsed();
-                    return Outcome::Optimal {
-                        solution,
-                        objective: 0,
-                    };
-                }
-                descent.seed(solution, val);
-            }
-        }
-        let budget = Budget {
-            deadline,
-            conflict_limit: self.config.conflict_limit,
-        };
-        let mut core = Vec::new();
-        let out = descent.optimize(
-            model,
-            budget,
-            &[],
-            self.config.objective_stop,
-            &mut self.stats.incumbents,
-            &mut core,
-        );
-        if out.solution().is_some() {
-            self.stats.incumbent_source = Some(descent.best_source);
-        }
-        self.stats.engine = descent.engine.stats();
-        self.stats.elapsed = start.elapsed();
+        let out = inc.query(true, assumptions);
+        self.stats = inc.stats;
+        self.last_core = inc.last_core;
+        self.certificate = inc.certificate;
         out
     }
 }
 
-/// Runs one probe attempt and validates the candidate against `model`:
-/// exact variable count and every constraint satisfied. Returns the
-/// assignment together with its (normalised) objective value — `0` for
-/// pure feasibility models.
-pub(crate) fn validated_probe(
-    model: &Model,
-    probe: &dyn HeuristicProbe,
-    seed: u64,
-    stop: &AtomicBool,
-) -> Option<(Assignment, i64)> {
-    let values = probe.probe(seed, stop)?;
+/// Validates a candidate assignment against `model`: exact variable
+/// count and every constraint satisfied. Returns it with its
+/// (normalised) objective value — `0` for pure feasibility models.
+pub(crate) fn validate(model: &Model, values: Vec<bool>) -> Option<(Assignment, i64)> {
     if values.len() != model.num_vars() {
         return None;
     }
     let solution = Assignment::from_values(values);
-    if model.check(|v| solution.value(v)).is_err() {
-        return None;
-    }
+    model.check(|v| solution.value(v)).ok()?;
     let val = model
         .objective()
         .map(|o| o.normalized().evaluate(|v| solution.value(v)))
@@ -717,25 +416,75 @@ pub(crate) fn validated_probe(
     Some((solution, val))
 }
 
+impl Outcome {
+    /// What a solution of `model` answers on its own: the optimum of a
+    /// pure feasibility model, an unproven incumbent otherwise.
+    pub(crate) fn found(model: &Model, solution: Assignment, objective: i64) -> Outcome {
+        if model.objective().is_some() {
+            Outcome::Feasible {
+                solution,
+                objective,
+            }
+        } else {
+            Outcome::Optimal {
+                solution,
+                objective: 0,
+            }
+        }
+    }
+}
+
 /// Adapts an original-model-space [`HeuristicProbe`] to the
 /// presolve-reduced space the engines search: every candidate is
-/// translated through [`Reconstruction::restrict`].
+/// translated through [`Reconstruction::restrict`] (and passed through
+/// unchanged when presolve did not run).
 struct ReducedProbe<'a> {
     inner: &'a dyn HeuristicProbe,
-    recon: &'a Reconstruction,
+    recon: Option<&'a Reconstruction>,
     reduced_vars: usize,
 }
 
 impl HeuristicProbe for ReducedProbe<'_> {
     fn probe(&self, seed: u64, stop: &AtomicBool) -> Option<Vec<bool>> {
         let original = self.inner.probe(seed, stop)?;
-        match self.recon.restrict(&original, self.reduced_vars) {
+        let Some(recon) = self.recon else {
+            return Some(original);
+        };
+        match recon.restrict(&original, self.reduced_vars) {
             Some(reduced) => Some(reduced),
             // Untranslatable candidates violate the original model. An
             // empty vector is a well-formed but never-valid candidate:
             // the consumer's validation discards it and — unlike `None`,
             // which retires the probe source — keeps probing.
             None => Some(Vec::new()),
+        }
+    }
+}
+
+/// One query to the engines, in the space they search.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Query<'a> {
+    /// Descend to the optimum (`true`) or stop at the first solution.
+    pub(crate) optimize: bool,
+    /// Literals held true for this query only.
+    pub(crate) assumptions: &'a [Lit],
+    /// The solver-wide deadline and a fresh conflict limit per search.
+    pub(crate) budget: Budget,
+    /// [`SolverConfig::objective_stop`].
+    pub(crate) stop: Option<i64>,
+}
+
+impl Query<'_> {
+    /// Whether `out` answers this query for every engine racing on it:
+    /// a proof either way, a feasibility query's solution, or an
+    /// incumbent at the objective stop.
+    pub(crate) fn settles(&self, out: &Outcome) -> bool {
+        match out {
+            Outcome::Optimal { .. } | Outcome::Infeasible => true,
+            Outcome::Feasible { objective, .. } => {
+                !self.optimize || self.stop.is_some_and(|s| *objective <= s)
+            }
+            Outcome::Unknown => false,
         }
     }
 }
@@ -748,10 +497,11 @@ impl HeuristicProbe for ReducedProbe<'_> {
 /// as a permanent constraint. The engine's clause database therefore stays
 /// valid for the unbounded model, so learnt clauses survive across
 /// feasibility probes, the whole objective descent, and later queries with
-/// different assumption sets.
+/// different assumption sets. Racing descents (see [`crate::portfolio`])
+/// run the same loop and also adopt each other's incumbents.
 #[derive(Debug)]
-struct Descent {
-    engine: Engine,
+pub(crate) struct Descent {
+    pub(crate) engine: Engine,
     /// Normalised objective, if the model has one.
     objective: Option<LinExpr>,
     /// Number of *model* variables; the engine may hold more (activation
@@ -767,13 +517,17 @@ struct Descent {
     /// across calls so a feasibility solution seeds the later descent.
     best: Option<(Assignment, i64)>,
     /// Where `best` came from. Meaningless while `best` is `None`.
-    best_source: IncumbentSource,
+    pub(crate) best_source: IncumbentSource,
+    /// Incumbents this descent's own optimising search found.
+    pub(crate) incumbents: u64,
+    /// Times a better foreign incumbent woke this descent mid-search.
+    pub(crate) tightenings: u64,
 }
 
 impl Descent {
     /// Loads the model into a fresh engine. `Err` carries the engine stats
     /// when a constraint is already refuted at the root.
-    fn build(
+    pub(crate) fn build(
         model: &Model,
         features: EngineFeatures,
         mem_limit: Option<usize>,
@@ -801,22 +555,34 @@ impl Descent {
             bounded: None,
             best: None,
             best_source: IncumbentSource::Solver,
+            incumbents: 0,
+            tightenings: 0,
         })
     }
 
     /// Seeds the incumbent from an externally *validated* solution (a
-    /// heuristic probe's candidate after it passed the model check). The
-    /// descent records it exactly like a solver-found incumbent, so the
-    /// next `optimize` call starts strictly below it. Returns whether
-    /// the seed improved on the current best.
-    fn seed(&mut self, solution: Assignment, objective: i64) -> bool {
+    /// heuristic probe's candidate after it passed the model check, or a
+    /// racing descent's incumbent). The descent records it exactly like
+    /// one it found itself, keeping `source`, so the next `optimize`
+    /// call starts strictly below it. Returns whether the seed improved
+    /// on the current best.
+    pub(crate) fn seed(
+        &mut self,
+        solution: Assignment,
+        objective: i64,
+        source: IncumbentSource,
+    ) -> bool {
         if self.best.as_ref().is_none_or(|&(_, b)| objective < b) {
             self.best = Some((solution, objective));
-            self.best_source = IncumbentSource::Heuristic;
+            self.best_source = source;
             true
         } else {
             false
         }
+    }
+
+    fn best_value(&self) -> Option<i64> {
+        self.best.as_ref().map(|&(_, val)| val)
     }
 
     /// Posts `objective <= rhs` reified under a fresh activation literal
@@ -876,20 +642,38 @@ impl Descent {
         solution
     }
 
-    /// One feasibility solve under `assumptions` (the objective-bound
-    /// chain is deliberately *not* assumed: the probe answers for the
-    /// unbounded model). On `Unsat`, `core` receives the engine's final
-    /// conflict. Incumbents are recorded only when `assumptions` is empty,
-    /// keeping the seeded descent's first bound an unassumed discovery.
-    fn feasible(
+    /// Answers `q`; on [`Outcome::Infeasible`], `core` receives the
+    /// engine's final conflict. `race` connects a racing descent to the
+    /// others.
+    pub(crate) fn answer(
         &mut self,
         model: &Model,
-        budget: Budget,
-        assumptions: &[Lit],
+        q: &Query,
+        race: Option<&Race>,
         core: &mut Vec<Lit>,
     ) -> Outcome {
         core.clear();
-        match self.engine.solve_under_assumptions(budget, assumptions) {
+        if q.optimize {
+            self.optimize(model, q, race, core)
+        } else {
+            self.feasible(model, q, race, core)
+        }
+    }
+
+    /// One feasibility solve under the query's assumptions (the
+    /// objective-bound chain is deliberately *not* assumed: the probe
+    /// answers for the unbounded model). Incumbents are recorded (and
+    /// offered to the race) only without assumptions, keeping the seeded
+    /// descent's first bound an unassumed discovery.
+    fn feasible(
+        &mut self,
+        model: &Model,
+        q: &Query,
+        race: Option<&Race>,
+        core: &mut Vec<Lit>,
+    ) -> Outcome {
+        self.engine.set_watched_bound(None);
+        match self.engine.solve_under_assumptions(q.budget, q.assumptions) {
             SatResult::Unsat => {
                 core.extend_from_slice(self.engine.unsat_core());
                 Outcome::Infeasible
@@ -897,74 +681,79 @@ impl Descent {
             SatResult::Unknown => Outcome::Unknown,
             SatResult::Sat => {
                 let solution = self.solution(model);
-                let Some(obj) = &self.objective else {
-                    if assumptions.is_empty() {
-                        self.best = Some((solution.clone(), 0));
+                let val = self
+                    .objective
+                    .as_ref()
+                    .map_or(0, |obj| obj.evaluate(|v| solution.value(v)));
+                if q.assumptions.is_empty() {
+                    if let Some(race) = race {
+                        race.offer(&solution, val, IncumbentSource::Solver);
+                    }
+                    if self.objective.is_none() || self.best_value().is_none_or(|b| val < b) {
+                        self.best = Some((solution.clone(), val));
                         self.best_source = IncumbentSource::Solver;
                     }
-                    return Outcome::Optimal {
-                        solution,
-                        objective: 0,
-                    };
-                };
-                let val = obj.evaluate(|v| solution.value(v));
-                if assumptions.is_empty() && self.best.as_ref().is_none_or(|&(_, b)| val < b) {
-                    self.best = Some((solution.clone(), val));
-                    self.best_source = IncumbentSource::Solver;
                 }
-                Outcome::Feasible {
-                    solution,
-                    objective: val,
-                }
+                Outcome::found(model, solution, val)
             }
         }
     }
 
-    /// Branch-and-bound descent to the optimum under `assumptions`,
-    /// assuming the objective-bound chain throughout. On an undecided
-    /// first probe (`Unknown` with no incumbent yet), `core` stays empty;
-    /// on `Infeasible` it receives the engine's final conflict. A `stop`
-    /// target ends the descent early (`Feasible`) as soon as an incumbent
-    /// reaches it ([`SolverConfig::objective_stop`]).
+    /// Branch-and-bound descent to the optimum under the query's
+    /// assumptions, assuming the objective-bound chain throughout. On an
+    /// undecided first probe (`Unknown` with no incumbent yet), `core`
+    /// stays empty; on `Infeasible` it receives the engine's final
+    /// conflict. A `stop` target ends the descent early (`Feasible`) as
+    /// soon as an incumbent reaches it
+    /// ([`SolverConfig::objective_stop`]).
     ///
     /// Incumbents found under assumptions are still model solutions (the
     /// assumptions only restrict), so recording them and bounding below
     /// them stays sound for later unassumed calls; only the `Optimal`
     /// verdict itself is relative to the given assumptions.
+    ///
+    /// In a race, the descent first adopts any better shared incumbent
+    /// and offers every incumbent it finds; an engine woken by a better
+    /// foreign incumbent re-enters with the tighter bound.
     fn optimize(
         &mut self,
         model: &Model,
-        budget: Budget,
-        assumptions: &[Lit],
-        stop: Option<i64>,
-        incumbents: &mut u64,
+        q: &Query,
+        race: Option<&Race>,
         core: &mut Vec<Lit>,
     ) -> Outcome {
-        core.clear();
-        // Target-objective stop: an incumbent already at or below `stop`
-        // is good enough — report it without descending further.
-        if let (Some(s), Some((solution, val))) = (stop, self.best.clone()) {
-            if self.objective.is_some() && val <= s {
-                return Outcome::Feasible {
-                    solution,
-                    objective: val,
-                };
-            }
-        }
-        // Feasibility-to-optimisation handoff: an incumbent recorded by an
-        // earlier `feasible` call seeds the first bound, so the descent
-        // starts strictly below it instead of rediscovering it.
-        if let Some(&(_, val)) = self.best.as_ref() {
-            if self.objective.is_some() && self.bounded.is_none_or(|b| b > val - 1) {
-                let act = self.post_bound(val - 1);
-                self.bound_act = Some(act);
-                self.bounded = Some(val - 1);
-            }
-        }
         loop {
-            let mut assumed = assumptions.to_vec();
+            if let Some((solution, val, source)) =
+                race.and_then(|r| r.better_than(self.best_value()))
+            {
+                self.seed(solution, val, source);
+            }
+            // Target-objective stop: an incumbent already at or below
+            // `stop` is good enough — report it without descending
+            // further.
+            if let (Some(s), Some((solution, val))) = (q.stop, &self.best) {
+                if self.objective.is_some() && *val <= s {
+                    return Outcome::Feasible {
+                        solution: solution.clone(),
+                        objective: *val,
+                    };
+                }
+            }
+            // Bound strictly below the incumbent — found by the previous
+            // round, adopted, or recorded by an earlier `feasible` call
+            // (the feasibility-to-optimisation handoff).
+            if let Some(val) = self.best_value() {
+                if self.objective.is_some() && self.bounded.is_none_or(|b| b > val - 1) {
+                    let act = self.post_bound(val - 1);
+                    self.bound_act = Some(act);
+                    self.bounded = Some(val - 1);
+                }
+            }
+            self.engine
+                .set_watched_bound(Some(self.bounded.unwrap_or(i64::MAX)));
+            let mut assumed = q.assumptions.to_vec();
             assumed.extend(self.bound_act);
-            match self.engine.solve_under_assumptions(budget, &assumed) {
+            match self.engine.solve_under_assumptions(q.budget, &assumed) {
                 SatResult::Unsat => {
                     return match &self.best {
                         // The bound below the incumbent is refuted: the
@@ -980,6 +769,10 @@ impl Descent {
                     };
                 }
                 SatResult::Unknown => {
+                    if race.is_some_and(|r| r.woke(self.best_value(), q.budget.deadline)) {
+                        self.tightenings += 1;
+                        continue;
+                    }
                     return match &self.best {
                         Some((solution, objective)) => Outcome::Feasible {
                             solution: solution.clone(),
@@ -990,7 +783,10 @@ impl Descent {
                 }
                 SatResult::Sat => {
                     let solution = self.solution(model);
-                    let Some(obj) = self.objective.clone() else {
+                    let Some(obj) = &self.objective else {
+                        if let Some(race) = race {
+                            race.offer(&solution, 0, IncumbentSource::Solver);
+                        }
                         self.best = Some((solution.clone(), 0));
                         self.best_source = IncumbentSource::Solver;
                         return Outcome::Optimal {
@@ -999,19 +795,12 @@ impl Descent {
                         };
                     };
                     let val = obj.evaluate(|v| solution.value(v));
-                    *incumbents += 1;
+                    self.incumbents += 1;
+                    if let Some(race) = race {
+                        race.offer(&solution, val, IncumbentSource::Solver);
+                    }
                     self.best = Some((solution, val));
                     self.best_source = IncumbentSource::Solver;
-                    if stop.is_some_and(|s| val <= s) {
-                        let (solution, objective) = self.best.clone().expect("just recorded");
-                        return Outcome::Feasible {
-                            solution,
-                            objective,
-                        };
-                    }
-                    let act = self.post_bound(val - 1);
-                    self.bound_act = Some(act);
-                    self.bounded = Some(val - 1);
                 }
             }
         }
@@ -1040,9 +829,9 @@ fn presolve_fixed_lits(recon: &Reconstruction, num_original_vars: usize) -> Vec<
 /// `model` (optionally under `assumptions`, which are added as unit
 /// clauses for the replay — infeasibility never involves the objective).
 ///
-/// The original solve's artefacts are **not** trusted: a fresh sequential
+/// The original solve's artefacts are **not** trusted: a fresh single
 /// proof-logging engine re-solves the *original* model from scratch
-/// (no presolve rewriting, no portfolio exchange), and the resulting
+/// (no presolve rewriting, no clause exchange), and the resulting
 /// proof is replayed by the independent checker. `presolve_facts` — unit
 /// fixings the presolve pipeline claims — are first re-validated by the
 /// checker's own propagation ([`checker`]) and only the provable ones are
@@ -1156,12 +945,14 @@ pub fn certify_infeasibility(
     }
 }
 
-/// A persistent solver for repeated queries against **one** model.
+/// A persistent solver for repeated queries against **one** model, on
+/// one engine or a race of several.
 ///
-/// Where [`Solver`] rebuilds the engine (and re-runs presolve) on every
-/// call, an `IncrementalSolver` presolves and loads the model once at
-/// construction and then answers any number of queries on the same
-/// engine, so conflict clauses learnt by one query prune the next:
+/// An `IncrementalSolver` presolves once at construction, loads the
+/// reduced model into `N` persistent engines (`N` =
+/// [`SolverConfig::effective_threads`]) and then answers any number of
+/// queries on them, so conflict clauses learnt by one query prune the
+/// next:
 ///
 /// * [`solve_feasible`](IncrementalSolver::solve_feasible) — one
 ///   feasibility solve; with an objective set, the solution it finds seeds
@@ -1174,15 +965,21 @@ pub fn certify_infeasibility(
 ///   `Infeasible`, [`unsat_core`](IncrementalSolver::unsat_core) names a
 ///   subset of the assumptions the refutation depends on.
 ///
-/// All queries run on the sequential engine: `config.threads` is ignored
-/// (the portfolio races independent engines and has no shared clause
-/// database to keep warm). `config.time_limit` bounds the solver's
-/// lifetime, not each query: one deadline, fixed at construction, covers
-/// presolve and every later query (a query started after it returns at
-/// its first budget poll), so a caller's limit is never restarted by a
-/// follow-up query. Certification replays keep their own budget (see
-/// [`SolverConfig::certify`]). `config.conflict_limit` still applies per
-/// query; [`stats`](IncrementalSolver::stats) accumulate across queries.
+/// With one engine every query runs on the calling thread and is
+/// bit-for-bit deterministic. With more, every query races the engines
+/// on scoped threads (see [`crate::portfolio`]): they share incumbents,
+/// glue clauses and the verdict, and the first decisive answer wins.
+/// Worker 0 runs the one-engine configuration, so until a foreign
+/// incumbent reaches it, it repeats the one-engine search.
+///
+/// `config.time_limit` bounds the solver's lifetime, not each query: one
+/// deadline, fixed at construction, covers presolve and every later
+/// query (a query started after it returns at its first budget poll), so
+/// a caller's limit is never restarted by a follow-up query.
+/// Certification replays keep their own budget (see
+/// [`SolverConfig::certify`]). `config.conflict_limit` applies per
+/// search; [`stats`](IncrementalSolver::stats) accumulate across
+/// queries.
 ///
 /// # Examples
 ///
@@ -1200,16 +997,18 @@ pub fn certify_infeasibility(
 /// assert_eq!(probe, Outcome::Infeasible);
 /// assert!(!s.unsat_core().is_empty());
 /// ```
-#[derive(Debug)]
-pub struct IncrementalSolver {
+pub struct IncrementalSolver<'p> {
     config: SolverConfig,
     /// `config.time_limit` from construction: the one deadline presolve
     /// and every query share.
     deadline: Option<Instant>,
-    /// `None` when the model was refuted at construction (by presolve or
-    /// at the engine root): every query is then trivially `Infeasible`.
+    /// `None` when presolve refuted the model: every query is then
+    /// trivially `Infeasible`.
     inner: Option<Inner>,
     stats: SolveStats,
+    /// Work done outside the persistent engines (fallback solves, a load
+    /// refuted at the root), added to theirs in `stats`.
+    detached: SolveStats,
     last_core: Vec<Lit>,
     /// Entailed presolve fixings (original-model literals), kept for
     /// certification seeding. Empty unless `config.certify` and presolve
@@ -1221,37 +1020,74 @@ pub struct IncrementalSolver {
     /// External cooperative-cancellation flag (see
     /// [`IncrementalSolver::set_interrupt`]).
     interrupt: Option<Arc<AtomicBool>>,
+    /// Heuristic incumbent source (see
+    /// [`IncrementalSolver::with_probe`]).
+    probe: Option<&'p dyn HeuristicProbe>,
 }
 
-/// The live state of a feasible-so-far [`IncrementalSolver`].
+impl fmt::Debug for IncrementalSolver<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IncrementalSolver")
+            .field("config", &self.config)
+            .field("inner", &self.inner)
+            .field("stats", &self.stats)
+            .field("probe", &self.probe.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+/// The live state of a presolved [`IncrementalSolver`].
 #[derive(Debug)]
 struct Inner {
-    descent: Descent,
-    /// The (possibly presolve-reduced) model the engine holds.
+    /// The (possibly presolve-reduced) model the engines hold.
     reduced: Model,
     /// Maps reduced-space solutions and assumption literals back to the
     /// original model; `None` when presolve was disabled.
     reconstruction: Option<Reconstruction>,
-    /// The unreduced model, kept only when presolve ran: the fallback
-    /// target for assumptions that contradict a don't-care elimination.
+    /// The unreduced model, kept only when presolve ran: the
+    /// certification target and the fallback for assumptions that
+    /// contradict a don't-care elimination.
     original: Option<Model>,
+    /// One persistent descent per engine; `None` marks a quarantined
+    /// worker. Empty when the engines refuted the model at the root.
+    engines: Vec<Option<Descent>>,
+    /// What racing engines share; `None` with one engine.
+    race: Option<Race>,
 }
 
-impl IncrementalSolver {
-    /// Presolves (per `config.presolve`) and loads `model` into a
-    /// persistent engine, fixing the deadline `config.time_limit` from
-    /// now. Root infeasibility is detected here; queries on an infeasible
-    /// solver return [`Outcome::Infeasible`] immediately with an empty
+impl<'p> IncrementalSolver<'p> {
+    /// Presolves (per `config.presolve`) and loads `model` into
+    /// [`SolverConfig::effective_threads`] persistent engines, fixing the
+    /// deadline `config.time_limit` from now. Queries on a model refuted
+    /// here return [`Outcome::Infeasible`] immediately with an empty
     /// core.
     pub fn new(model: &Model, config: SolverConfig) -> Self {
+        Self::build(model, config, None)
+    }
+
+    /// [`IncrementalSolver::new`] with a heuristic incumbent source
+    /// racing the exact engines (see [`HeuristicProbe`]). With several
+    /// engines, `config.probe_workers` probe threads (at least one) race
+    /// them during every query without assumptions. With one engine, the
+    /// probe gets one synchronous attempt before the first such query.
+    /// Either way a validated candidate that answers the query on its
+    /// own (a feasibility query's solution, or an incumbent at the
+    /// objective stop) is the answer, and any other seeds the descent;
+    /// verdicts and optima are never affected.
+    pub fn with_probe(model: &Model, config: SolverConfig, probe: &'p dyn HeuristicProbe) -> Self {
+        Self::build(model, config, Some(probe))
+    }
+
+    fn build(model: &Model, config: SolverConfig, probe: Option<&'p dyn HeuristicProbe>) -> Self {
         let start = Instant::now();
         let deadline = config.time_limit.map(|d| start + d);
+        let n = config.effective_threads();
         let mut stats = SolveStats {
-            workers: 1,
+            workers: n as u32,
             ..SolveStats::default()
         };
         let mut facts = Vec::new();
-        let built = if config.presolve {
+        let presolved = if config.presolve {
             let pcfg = PresolveConfig {
                 probe_budget: config.presolve_probe_budget,
                 deadline,
@@ -1277,46 +1113,58 @@ impl IncrementalSolver {
         } else {
             Some((model.clone(), None))
         };
-        let inner = built.and_then(|(reduced, reconstruction)| {
-            match Descent::build(&reduced, config.features, config.mem_limit) {
-                Ok(descent) => Some(Inner {
-                    descent,
-                    original: reconstruction.is_some().then(|| model.clone()),
-                    reduced,
-                    reconstruction,
-                }),
-                Err(es) => {
-                    stats.engine = *es;
-                    None
-                }
+        let mut detached = SolveStats::default();
+        let inner = presolved.map(|(reduced, reconstruction)| {
+            let loaded = if n == 1 {
+                Descent::build(&reduced, config.features, config.mem_limit)
+                    .map(|d| (None, vec![Some(d)]))
+            } else {
+                Race::enlist(&reduced, &config, n).map(|(race, engines)| (Some(race), engines))
+            };
+            let (race, engines) = loaded.unwrap_or_else(|es| {
+                detached.engine = *es;
+                (None, Vec::new())
+            });
+            Inner {
+                original: reconstruction.is_some().then(|| model.clone()),
+                reduced,
+                reconstruction,
+                engines,
+                race,
             }
         });
-        // A construction-time refutation is the only Infeasible this
-        // solver can ever justify without live state — certify it now,
-        // while the original model is still in reach.
+        // A presolve refutation is the only Infeasible this solver can
+        // justify without live state — certify it now, while the
+        // original model is still in reach.
         let certificate = (config.certify && inner.is_none())
             .then(|| certify_infeasibility(model, &[], &facts, &config));
+        stats.engine = detached.engine;
         stats.elapsed = start.elapsed();
         IncrementalSolver {
             config,
             deadline,
             inner,
             stats,
+            detached,
             last_core: Vec::new(),
             facts,
             certificate,
             interrupt: None,
+            probe,
         }
     }
 
-    /// Installs an external cooperative-cancellation flag on the
-    /// persistent engine: when another thread sets it, the in-flight
-    /// query (and every later one, until the flag is cleared) returns at
-    /// its next budget poll exactly as if its deadline had expired. See
-    /// [`Solver::set_interrupt`].
+    /// Installs an external cooperative-cancellation flag: when another
+    /// thread sets it, the in-flight query (and every later one, until
+    /// the flag is cleared) returns at its next budget poll exactly as if
+    /// its deadline had expired. See [`Solver::set_interrupt`].
     pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.descent.engine.set_interrupt(Arc::clone(&flag));
+        // Racing engines poll the race's own stop flag, into which every
+        // race relays this one.
+        if let Some(inner) = self.inner.as_mut().filter(|i| i.race.is_none()) {
+            for descent in inner.engines.iter_mut().flatten() {
+                descent.engine.set_interrupt(Arc::clone(&flag));
+            }
         }
         self.interrupt = Some(flag);
     }
@@ -1328,24 +1176,9 @@ impl IncrementalSolver {
         self.certificate.as_ref()
     }
 
-    /// Certifies the current `Infeasible` answer against the original
-    /// model. No-op when certification is off or the refutation happened
-    /// at construction (already certified then).
-    fn certify_current(&mut self, assumptions: &[Lit]) {
-        if !self.config.certify {
-            return;
-        }
-        let cert = match &self.inner {
-            None => return, // construction-time certificate stands
-            Some(inner) => {
-                let target = inner.original.as_ref().unwrap_or(&inner.reduced);
-                certify_infeasibility(target, assumptions, &self.facts, &self.config)
-            }
-        };
-        self.certificate = Some(cert);
-    }
-
-    /// Cumulative statistics over construction and every query so far.
+    /// Cumulative statistics over construction and every query so far,
+    /// certification replays included. Engine counters are summed over
+    /// the live engines.
     pub fn stats(&self) -> SolveStats {
         self.stats
     }
@@ -1357,73 +1190,30 @@ impl IncrementalSolver {
         &self.last_core
     }
 
-    /// One query's search budget: the solver-wide deadline and a fresh
-    /// conflict limit.
-    fn budget(&self) -> Budget {
-        Budget {
-            deadline: self.deadline,
-            conflict_limit: self.config.conflict_limit,
-        }
-    }
-
-    /// Folds one query's outcome back into original-model space and the
-    /// cumulative statistics.
-    fn finish(&mut self, out: Outcome, start: Instant) -> Outcome {
-        let inner = self.inner.as_ref().expect("finish requires live state");
-        self.stats.engine = inner.descent.engine.stats();
-        self.stats.elapsed += start.elapsed();
-        if out.solution().is_some() {
-            self.stats.incumbent_source = Some(inner.descent.best_source);
-        }
-        match &inner.reconstruction {
-            None => out,
-            Some(recon) => match out {
-                Outcome::Optimal {
-                    solution,
-                    objective,
-                } => Outcome::Optimal {
-                    solution: recon.expand(&solution),
-                    objective,
-                },
-                Outcome::Feasible {
-                    solution,
-                    objective,
-                } => Outcome::Feasible {
-                    solution: recon.expand(&solution),
-                    objective,
-                },
-                other => other,
-            },
-        }
-    }
-
     /// One feasibility solve. With an objective set the result is
     /// [`Outcome::Feasible`] (optimality unproven — its solution seeds a
     /// later [`optimize`](IncrementalSolver::optimize)); without one it is
     /// [`Outcome::Optimal`] with objective `0`, as for [`Solver::solve`].
     pub fn solve_feasible(&mut self) -> Outcome {
-        if self.inner.is_some() {
-            self.certificate = None;
-        }
-        let out = self.solve_feasible_inner();
-        if out == Outcome::Infeasible {
-            self.certify_current(&[]);
-        }
-        out
+        self.query(false, &[])
     }
 
-    fn solve_feasible_inner(&mut self) -> Outcome {
-        self.last_core.clear();
-        let start = Instant::now();
-        let budget = self.budget();
-        let Some(inner) = self.inner.as_mut() else {
-            return Outcome::Infeasible;
-        };
-        let mut core = Vec::new();
-        let out = inner
-            .descent
-            .feasible(&inner.reduced, budget, &[], &mut core);
-        self.finish(out, start)
+    /// Branch-and-bound descent to the proven optimum, reusing everything
+    /// already learnt (and any incumbent from
+    /// [`solve_feasible`](IncrementalSolver::solve_feasible)). Calling it
+    /// again after an [`Outcome::Optimal`] verdict just re-proves the
+    /// bound cheaply and returns the same solution.
+    pub fn optimize(&mut self) -> Outcome {
+        self.query(true, &[])
+    }
+
+    /// Feasibility with every literal in `assumptions` (original-model
+    /// literals) held true for this call only. On [`Outcome::Infeasible`],
+    /// [`unsat_core`](IncrementalSolver::unsat_core) reports a responsible
+    /// subset of the assumptions. The objective is evaluated on the
+    /// solution but not optimised.
+    pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> Outcome {
+        self.query(false, assumptions)
     }
 
     /// Seeds the descent's incumbent from a heuristic solution, given as
@@ -1449,167 +1239,315 @@ impl IncrementalSolver {
             return false;
         };
         let reduced_values = match &inner.reconstruction {
-            None => {
-                if values.len() != inner.reduced.num_vars() {
-                    return false;
-                }
-                values.to_vec()
-            }
+            None => values.to_vec(),
             Some(recon) => match recon.restrict(values, inner.reduced.num_vars()) {
                 Some(v) => v,
                 None => return false,
             },
         };
-        let solution = Assignment::from_values(reduced_values);
-        if inner.reduced.check(|v| solution.value(v)).is_err() {
+        let Some((solution, objective)) = validate(&inner.reduced, reduced_values) else {
             return false;
-        }
-        let objective = inner
-            .reduced
-            .objective()
-            .map(|o| o.normalized().evaluate(|v| solution.value(v)))
-            .unwrap_or(0);
-        if inner.descent.seed(solution, objective) {
-            self.stats.probe_incumbents += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Branch-and-bound descent to the proven optimum, reusing everything
-    /// already learnt (and any incumbent from
-    /// [`solve_feasible`](IncrementalSolver::solve_feasible)). Calling it
-    /// again after an [`Outcome::Optimal`] verdict just re-proves the
-    /// bound cheaply and returns the same solution.
-    pub fn optimize(&mut self) -> Outcome {
-        if self.inner.is_some() {
-            self.certificate = None;
-        }
-        let out = self.optimize_inner();
-        if out == Outcome::Infeasible {
-            self.certify_current(&[]);
-        }
-        out
-    }
-
-    fn optimize_inner(&mut self) -> Outcome {
-        self.last_core.clear();
-        let start = Instant::now();
-        let budget = self.budget();
-        let Some(inner) = self.inner.as_mut() else {
-            return Outcome::Infeasible;
         };
-        let mut core = Vec::new();
-        let mut incumbents = 0;
-        let out = inner.descent.optimize(
-            &inner.reduced,
-            budget,
-            &[],
-            self.config.objective_stop,
-            &mut incumbents,
-            &mut core,
-        );
-        self.stats.incumbents += incumbents;
-        self.finish(out, start)
+        let mut accepted = false;
+        for descent in inner.engines.iter_mut().flatten() {
+            accepted |= descent.seed(solution.clone(), objective, IncumbentSource::Heuristic);
+        }
+        if let Some(race) = &inner.race {
+            accepted |= race.offer(&solution, objective, IncumbentSource::Heuristic);
+        }
+        if accepted {
+            self.stats.probe_incumbents += 1;
+        }
+        accepted
     }
 
-    /// Feasibility with every literal in `assumptions` (original-model
-    /// literals) held true for this call only. On [`Outcome::Infeasible`],
-    /// [`unsat_core`](IncrementalSolver::unsat_core) reports a responsible
-    /// subset of the assumptions. The objective is evaluated on the
-    /// solution but not optimised.
-    pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> Outcome {
+    /// The one query path: answers, certifies an `Infeasible` answer and
+    /// charges the time, replay included, to the statistics.
+    fn query(&mut self, optimize: bool, assumptions: &[Lit]) -> Outcome {
+        let start = Instant::now();
+        self.last_core.clear();
         if self.inner.is_some() {
             self.certificate = None;
         }
-        let out = self.solve_under_assumptions_inner(assumptions);
+        let out = self.answer(optimize, assumptions);
         if out == Outcome::Infeasible {
             self.certify_current(assumptions);
         }
+        self.stats.elapsed += start.elapsed();
         out
     }
 
-    fn solve_under_assumptions_inner(&mut self, assumptions: &[Lit]) -> Outcome {
-        self.last_core.clear();
-        let start = Instant::now();
-        let budget = self.budget();
-        let Some(inner) = self.inner.as_mut() else {
+    /// Maps the assumptions into the engines' space once, runs the
+    /// engines and maps the answer back to the original model.
+    fn answer(&mut self, optimize: bool, assumptions: &[Lit]) -> Outcome {
+        let Some(inner) = &self.inner else {
             return Outcome::Infeasible;
         };
-        // Map assumptions into the reduced space, remembering which
-        // original literal each reduced one stands for.
+        // Remember which original literal each reduced one stands for.
         let mut mapped = Vec::with_capacity(assumptions.len());
         let mut assoc: Vec<(Lit, Lit)> = Vec::with_capacity(assumptions.len());
         for &a in assumptions {
-            match &inner.reconstruction {
-                None => {
-                    mapped.push(a);
-                    assoc.push((a, a));
+            let disposition = match &inner.reconstruction {
+                None => LitDisposition::Mapped(a),
+                Some(recon) => recon.map_lit(a),
+            };
+            match disposition {
+                // Already implied by the model — or a don't-care
+                // elimination whose picked value agrees with the
+                // assumption (the expansion witnesses it): drop.
+                LitDisposition::Fixed(true) | LitDisposition::Free(true) => {}
+                // Refuted by the model alone: a one-literal core.
+                LitDisposition::Fixed(false) => {
+                    self.last_core = vec![a];
+                    return Outcome::Infeasible;
                 }
-                Some(recon) => match recon.map_lit(a) {
-                    LitDisposition::Fixed(true) | LitDisposition::Free(true) => {}
-                    LitDisposition::Fixed(false) => {
-                        self.last_core = vec![a];
-                        self.stats.elapsed += start.elapsed();
-                        return Outcome::Infeasible;
-                    }
-                    // Contradicts a don't-care elimination: the persistent
-                    // reduced engine cannot answer this probe. Fall back to
-                    // a one-shot presolve-free solve of the original model.
-                    LitDisposition::Free(false) => {
-                        let original = inner
-                            .original
-                            .as_ref()
-                            .expect("presolved state keeps the original model");
-                        let mut fallback = Solver::with_config(SolverConfig {
-                            // Whatever is left of the shared deadline.
-                            time_limit: self
-                                .deadline
-                                .map(|d| d.saturating_duration_since(Instant::now())),
-                            presolve: false,
-                            // The outer wrapper certifies Infeasible
-                            // answers itself; avoid a double replay.
-                            certify: false,
-                            ..self.config
-                        });
-                        if let Some(flag) = &self.interrupt {
-                            fallback.set_interrupt(Arc::clone(flag));
-                        }
-                        let out = fallback.solve_under_assumptions(original, assumptions);
-                        self.last_core = fallback.last_core.clone();
-                        self.stats.elapsed += start.elapsed();
-                        // The probe contract is feasibility, not proven
-                        // optimality — downgrade the optimising fallback's
-                        // verdict when an objective exists.
-                        return match out {
-                            Outcome::Optimal {
-                                solution,
-                                objective,
-                            } if original.objective().is_some() => Outcome::Feasible {
-                                solution,
-                                objective,
-                            },
-                            other => other,
-                        };
-                    }
-                    LitDisposition::Mapped(rl) => {
-                        mapped.push(rl);
-                        assoc.push((rl, a));
-                    }
-                },
+                // Contradicts a value presolve merely *chose* for an
+                // eliminated variable: the reduced engines cannot answer.
+                LitDisposition::Free(false) => return self.detour(optimize, assumptions),
+                LitDisposition::Mapped(rl) => {
+                    mapped.push(rl);
+                    assoc.push((rl, a));
+                }
             }
         }
-        let mut core = Vec::new();
-        let out = inner
-            .descent
-            .feasible(&inner.reduced, budget, &mapped, &mut core);
+        if inner.engines.is_empty() {
+            return Outcome::Infeasible;
+        }
+        let q = Query {
+            optimize,
+            assumptions: &mapped,
+            budget: Budget {
+                deadline: self.deadline,
+                conflict_limit: self.config.conflict_limit,
+            },
+            stop: self.config.objective_stop,
+        };
+        let (out, core) = self.run(&q);
         self.last_core = core
             .iter()
             .filter_map(|rl| assoc.iter().find(|(r, _)| r == rl).map(|&(_, a)| a))
             .collect();
-        self.finish(out, start)
+        let inner = self.inner.as_ref().expect("answered by live state");
+        let (Some(recon), Some(original)) = (&inner.reconstruction, &inner.original) else {
+            return out;
+        };
+        let expand = |solution: &Assignment| {
+            let full = recon.expand(solution);
+            debug_assert_eq!(original.check(|v| full.value(v)), Ok(()));
+            full
+        };
+        match out {
+            Outcome::Optimal {
+                solution,
+                objective,
+            } => Outcome::Optimal {
+                solution: expand(&solution),
+                objective,
+            },
+            Outcome::Feasible {
+                solution,
+                objective,
+            } => Outcome::Feasible {
+                solution: expand(&solution),
+                objective,
+            },
+            other => other,
+        }
     }
+
+    /// Runs `q` on the persistent engines: on the calling thread with
+    /// one, as a race with several, and on one fresh base-config descent
+    /// on the calling thread once every racing worker is quarantined.
+    fn run(&mut self, q: &Query) -> (Outcome, Vec<Lit>) {
+        let inner = self.inner.as_mut().expect("run requires live state");
+        // Probe candidates know nothing of assumptions the engines still
+        // see; with only implied ones left, a reduced-space candidate
+        // satisfies them after expansion.
+        let probe = self.probe.filter(|_| q.assumptions.is_empty());
+        let probe = probe.map(|p| ReducedProbe {
+            inner: p,
+            recon: inner.reconstruction.as_ref(),
+            reduced_vars: inner.reduced.num_vars(),
+        });
+        let probe = probe.as_ref().map(|p| p as &dyn HeuristicProbe);
+        let answered = match &inner.race {
+            None => {
+                // One engine: the probe's one attempt comes before the
+                // first query it can serve.
+                if probe.is_some() {
+                    self.probe = None;
+                }
+                let descent = inner.engines[0].as_mut().expect("one engine never races");
+                sequential(
+                    descent,
+                    &inner.reduced,
+                    q,
+                    probe,
+                    &self.config,
+                    &mut self.stats,
+                )
+            }
+            Some(race) => {
+                let live = |engines: &[Option<Descent>]| engines.iter().any(Option::is_some);
+                let raced = live(&inner.engines).then(|| {
+                    portfolio::race(
+                        race,
+                        &mut inner.engines,
+                        &inner.reduced,
+                        q,
+                        probe,
+                        &self.config,
+                        self.interrupt.as_ref(),
+                        &mut self.stats,
+                    )
+                });
+                match raced {
+                    Some(out) if live(&inner.engines) => out,
+                    // Every worker is quarantined: one fresh base-config
+                    // descent answers on the calling thread, with
+                    // whatever budget remains.
+                    _ => {
+                        let config = &self.config;
+                        let built =
+                            Descent::build(&inner.reduced, config.features, config.mem_limit);
+                        let Ok(mut fresh) = built else {
+                            return (Outcome::Infeasible, Vec::new());
+                        };
+                        if let Some(flag) = &self.interrupt {
+                            fresh.engine.set_interrupt(Arc::clone(flag));
+                        }
+                        self.stats.winner = None;
+                        let out = sequential(
+                            &mut fresh,
+                            &inner.reduced,
+                            q,
+                            probe,
+                            config,
+                            &mut self.stats,
+                        );
+                        self.detached.engine += fresh.engine.stats();
+                        self.detached.incumbents += fresh.incumbents;
+                        self.detached.bound_tightenings += fresh.tightenings;
+                        out
+                    }
+                }
+            }
+        };
+        self.tally();
+        answered
+    }
+
+    /// Recomputes the work counters: the live engines' plus the detached
+    /// work.
+    fn tally(&mut self) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let d = &self.detached;
+        let (mut engine, mut incumbents, mut tightenings) =
+            (d.engine, d.incumbents, d.bound_tightenings);
+        for descent in inner.engines.iter().flatten() {
+            engine += descent.engine.stats();
+            incumbents += descent.incumbents;
+            tightenings += descent.tightenings;
+        }
+        self.stats.engine = engine;
+        self.stats.incumbents = incumbents;
+        self.stats.bound_tightenings = tightenings;
+    }
+
+    /// Answers a query whose assumptions contradict a value presolve
+    /// chose for an eliminated variable: one presolve-free solver on the
+    /// original model answers instead, with what is left of the
+    /// deadline, and its work joins the detached statistics.
+    fn detour(&mut self, optimize: bool, assumptions: &[Lit]) -> Outcome {
+        let original = self
+            .inner
+            .as_ref()
+            .and_then(|i| i.original.as_ref())
+            .expect("presolved state keeps the original model");
+        let mut fallback = IncrementalSolver::new(
+            original,
+            SolverConfig {
+                time_limit: self
+                    .deadline
+                    .map(|d| d.saturating_duration_since(Instant::now())),
+                presolve: false,
+                // This solver certifies its Infeasible answers itself.
+                certify: false,
+                ..self.config
+            },
+        );
+        if let Some(flag) = &self.interrupt {
+            fallback.set_interrupt(Arc::clone(flag));
+        }
+        let out = fallback.answer(optimize, assumptions);
+        let fb = fallback.stats;
+        for stats in [&mut self.detached, &mut self.stats] {
+            stats.engine += fb.engine;
+            stats.incumbents += fb.incumbents;
+            stats.bound_tightenings += fb.bound_tightenings;
+            stats.worker_panics += fb.worker_panics;
+        }
+        self.stats.winner = fb.winner;
+        if out.solution().is_some() {
+            self.stats.incumbent_source = fb.incumbent_source;
+        }
+        self.last_core = fallback.last_core;
+        out
+    }
+
+    /// Certifies the current `Infeasible` answer against the original
+    /// model. No-op when certification is off or presolve refuted the
+    /// model (certified at construction then).
+    fn certify_current(&mut self, assumptions: &[Lit]) {
+        if !self.config.certify {
+            return;
+        }
+        let Some(inner) = &self.inner else {
+            return; // construction-time certificate stands
+        };
+        let target = inner.original.as_ref().unwrap_or(&inner.reduced);
+        self.certificate = Some(certify_infeasibility(
+            target,
+            assumptions,
+            &self.facts,
+            &self.config,
+        ));
+    }
+}
+
+/// Answers `q` on one descent on the calling thread. A supplied probe
+/// first gets one synchronous attempt: a validated candidate that
+/// settles the query is the answer, any other seeds the descent.
+fn sequential(
+    descent: &mut Descent,
+    model: &Model,
+    q: &Query,
+    probe: Option<&dyn HeuristicProbe>,
+    config: &SolverConfig,
+    stats: &mut SolveStats,
+) -> (Outcome, Vec<Lit>) {
+    if let Some(p) = probe {
+        stats.probe_workers = 1;
+        let stop = AtomicBool::new(false);
+        if let Some((solution, val)) = p.probe(config.seed, &stop).and_then(|v| validate(model, v))
+        {
+            stats.probe_incumbents += 1;
+            descent.seed(solution.clone(), val, IncumbentSource::Heuristic);
+            let out = Outcome::found(model, solution, val);
+            if q.settles(&out) {
+                stats.incumbent_source = Some(IncumbentSource::Heuristic);
+                return (out, Vec::new());
+            }
+        }
+    }
+    let mut core = Vec::new();
+    let out = descent.answer(model, q, None, &mut core);
+    if out.solution().is_some() {
+        stats.incumbent_source = Some(descent.best_source);
+    }
+    (out, core)
 }
 
 #[cfg(test)]

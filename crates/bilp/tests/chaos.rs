@@ -6,7 +6,9 @@
 //! inside one `#[test]` body, restoring the hook between scenarios.
 
 use bilp::portfolio::{CHAOS_PANIC_ALL, CHAOS_PANIC_WORKER};
-use bilp::{Certificate, HeuristicProbe, LinExpr, Model, Outcome, Solver, SolverConfig};
+use bilp::{
+    Certificate, HeuristicProbe, IncrementalSolver, LinExpr, Model, Outcome, Solver, SolverConfig,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 fn pigeonhole(pigeons: usize, holes: usize) -> Model {
@@ -87,6 +89,20 @@ fn chaos_panics_do_not_change_verdicts() {
         other => panic!("unexpected {other:?}"),
     }
 
+    // --- A quarantined worker sits out every later query. ---
+    CHAOS_PANIC_WORKER.store(1, Ordering::SeqCst);
+    let (m, best) = set_cover();
+    let mut inc = IncrementalSolver::new(
+        &m,
+        SolverConfig {
+            threads: 3,
+            ..SolverConfig::default()
+        },
+    );
+    assert!(inc.solve_feasible().solution().is_some());
+    assert_eq!(inc.optimize().objective(), Some(best));
+    assert_eq!(inc.stats().worker_panics, 1);
+
     // --- Every worker dies: degrade to the single-thread fallback. ---
     CHAOS_PANIC_WORKER.store(CHAOS_PANIC_ALL, Ordering::SeqCst);
     let m = pigeonhole(5, 4);
@@ -106,6 +122,18 @@ fn chaos_panics_do_not_change_verdicts() {
         Outcome::Optimal { objective, .. } => assert_eq!(objective, best),
         other => panic!("unexpected {other:?}"),
     }
+
+    // --- All dead on a persistent solver: every query falls back. ---
+    let mut inc = IncrementalSolver::new(
+        &m,
+        SolverConfig {
+            threads: 3,
+            ..SolverConfig::default()
+        },
+    );
+    assert!(inc.solve_feasible().solution().is_some());
+    assert_eq!(inc.optimize().objective(), Some(best));
+    assert_eq!(inc.stats().worker_panics, 3);
 
     // Restore: later tests in this process must not inherit injection.
     CHAOS_PANIC_WORKER.store(usize::MAX, Ordering::SeqCst);

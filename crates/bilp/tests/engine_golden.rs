@@ -21,6 +21,10 @@
 //! model runs under one of four engine feature sets (clause
 //! minimisation on/off, VSIDS on/off), so each set covers 50 models.
 //!
+//! A second table, `solver_golden.txt`, pins the one-shot `Solver`
+//! entry points on the same models: `Solver::solve` with presolve on,
+//! and `Solver::solve_under_assumptions` with presolve on and off.
+//!
 //! A line records the verdict and objective, then conflicts (`c`),
 //! decisions (`d`), propagations (`p`), learnt clauses (`l`), LBD total
 //! (`g`), incumbents (`i`) and the unsat core. On a mismatch the test
@@ -242,15 +246,20 @@ fn config(features: EngineFeatures) -> SolverConfig {
     }
 }
 
+/// The tag every line of one model starts with.
+fn tag(seed: u64, features: EngineFeatures) -> String {
+    format!(
+        "{seed:03} m{}v{}",
+        features.minimization as u8, features.vsids as u8
+    )
+}
+
 /// The five run lines of one model.
 fn model_lines(seed: u64) -> Vec<String> {
     let c = case(seed);
     let features = variant(seed);
     let cfg = config(features);
-    let tag = format!(
-        "{seed:03} m{}v{}",
-        features.minimization as u8, features.vsids as u8
-    );
+    let tag = tag(seed, features);
     let mut out = Vec::new();
 
     let model = if seed.is_multiple_of(2) {
@@ -320,10 +329,50 @@ fn model_lines(seed: u64) -> Vec<String> {
     out
 }
 
-#[test]
-fn engine_search_matches_golden_digests() {
-    let actual: Vec<String> = (1..=MODELS).flat_map(model_lines).collect();
-    let expected: Vec<&str> = include_str!("engine_golden.txt").lines().collect();
+/// The three one-shot `Solver` run lines of one model.
+fn solver_lines(seed: u64) -> Vec<String> {
+    let c = case(seed);
+    let features = variant(seed);
+    let tag = tag(seed, features);
+    let model = if seed.is_multiple_of(2) {
+        &c.unit
+    } else {
+        &c.weighted
+    };
+    let presolved = SolverConfig {
+        presolve: true,
+        ..config(features)
+    };
+    let mut out = Vec::new();
+
+    let mut solver = Solver::with_config(presolved);
+    let o = solver.solve(model);
+    let st = solver.stats();
+    out.push(format!(
+        "{tag} solve+p: {} {} i={} core=[]",
+        verdict(&o),
+        counters(&st.engine),
+        st.incumbents
+    ));
+
+    for (name, cfg) in [("assume+p", presolved), ("assume", config(features))] {
+        let mut solver = Solver::with_config(cfg);
+        let o = solver.solve_under_assumptions(model, &c.assumptions);
+        let st = solver.stats();
+        out.push(format!(
+            "{tag} {name}: {} {} i={} core={}",
+            verdict(&o),
+            counters(&st.engine),
+            st.incumbents,
+            core(solver.unsat_core())
+        ));
+    }
+    out
+}
+
+/// Compares a table of run lines against its recorded golden file.
+fn assert_matches_golden(actual: &[String], recorded: &str, file: &str) {
+    let expected: Vec<&str> = recorded.lines().collect();
     if actual == expected {
         return;
     }
@@ -336,9 +385,29 @@ fn engine_search_matches_golden_digests() {
         .map(|(a, e)| format!("recorded {e}\n     now {a}"))
         .collect();
     panic!(
-        "engine search drifted from the golden digests ({} lines now, {} recorded); first differences:\n{}",
+        "search drifted from {file} ({} lines now, {} recorded); first differences:\n{}",
         actual.len(),
         expected.len(),
         drifted.join("\n")
+    );
+}
+
+#[test]
+fn engine_search_matches_golden_digests() {
+    let actual: Vec<String> = (1..=MODELS).flat_map(model_lines).collect();
+    assert_matches_golden(
+        &actual,
+        include_str!("engine_golden.txt"),
+        "engine_golden.txt",
+    );
+}
+
+#[test]
+fn solver_wrapper_matches_golden_digests() {
+    let actual: Vec<String> = (1..=MODELS).flat_map(solver_lines).collect();
+    assert_matches_golden(
+        &actual,
+        include_str!("solver_golden.txt"),
+        "solver_golden.txt",
     );
 }

@@ -5,7 +5,7 @@
 // Column-index loops over 2-D incidence structures read clearest as-is.
 #![allow(clippy::needless_range_loop)]
 
-use bilp::{ClauseExchange, LinExpr, Lit, Model, Outcome, Solver, SolverConfig};
+use bilp::{ClauseExchange, IncrementalSolver, LinExpr, Model, Outcome, Solver, SolverConfig};
 use std::time::{Duration, Instant};
 
 /// n+1 pigeons into n holes: UNSAT, with proof cost growing steeply in n.
@@ -79,6 +79,35 @@ fn portfolio_objective_matches_sequential() {
     }
 }
 
+/// One persistent solver races every engine it loaded, on every query
+/// kind, and answers as one engine does.
+#[test]
+fn incremental_solver_races_every_engine() {
+    let mut m = Model::new();
+    let v = m.new_vars(13);
+    for i in 0..13 {
+        m.add_clause([v[i].lit(), v[(i + 1) % 13].lit()]);
+    }
+    m.minimize(LinExpr::sum(v.clone()));
+    let mut s = IncrementalSolver::new(
+        &m,
+        SolverConfig {
+            threads: 4,
+            ..SolverConfig::default()
+        },
+    );
+    assert_eq!(s.stats().workers, 4);
+    assert!(s.solve_feasible().solution().is_some());
+    let out = s.optimize();
+    assert!(matches!(out, Outcome::Optimal { .. }), "{out:?}");
+    assert_eq!(out.objective(), Some(7));
+    // Leaving both ends of edge (0, 1) out is infeasible.
+    let assumed = [!v[0].lit(), !v[1].lit()];
+    assert_eq!(s.solve_under_assumptions(&assumed), Outcome::Infeasible);
+    assert!(s.unsat_core().iter().all(|l| assumed.contains(l)));
+    assert!(!s.unsat_core().is_empty());
+}
+
 /// The 50 ms deadline must surface as `Unknown` promptly. Budget checks
 /// are amortised to every ~1024 propagations/conflicts, which costs
 /// microseconds per poll — the bound here is ~2x the deadline plus
@@ -103,6 +132,33 @@ fn deadline_returns_unknown_within_twice_the_budget() {
     }
 }
 
+/// `objective_stop` ends the descent at every width: with a stop no
+/// incumbent can miss, a 40-variable chain cover reports its first
+/// incumbent as `Feasible` instead of descending to a proven optimum.
+#[test]
+fn objective_stop_holds_at_every_width() {
+    let mut m = Model::new();
+    let v = m.new_vars(40);
+    for w in v.windows(2) {
+        m.add_clause([w[0].lit(), w[1].lit()]);
+    }
+    m.minimize(LinExpr::sum(v));
+    for threads in [1usize, 2, 4] {
+        let mut s = Solver::with_config(SolverConfig {
+            threads,
+            objective_stop: Some(i64::MAX),
+            ..SolverConfig::default()
+        });
+        let out = s.solve(&m);
+        assert!(
+            matches!(out, Outcome::Feasible { .. }),
+            "threads={threads}: {out:?}"
+        );
+        let solution = out.solution().expect("feasible has a solution");
+        assert_eq!(m.check(|v| solution.value(v)), Ok(()));
+    }
+}
+
 /// An UNSAT race: the first worker to finish its infeasibility proof
 /// must cancel the rest, and the verdict must be attributed.
 #[test]
@@ -122,42 +178,6 @@ fn unsat_race_cancels_and_attributes_winner() {
     assert!(stats.engine.conflicts > 0);
 }
 
-/// Clause sharing respects objective-bound tags: a clause learnt under a
-/// tighter bound is only imported by workers whose own bound is at
-/// least as tight.
-#[test]
-fn clause_exchange_bound_tags() {
-    let mut source = Model::new();
-    let v = source.new_vars(4);
-    let exchange = ClauseExchange::new();
-    let free = [v[0].lit()];
-    let bounded = [v[1].lit(), v[2].lit()];
-    let tight = [v[2].lit(), v[3].lit()];
-    assert!(exchange.publish(0, &free, 1, i64::MAX)); // bound-free fact
-    assert!(exchange.publish(0, &bounded, 2, 5)); // learnt under obj <= 5
-    assert!(exchange.publish(0, &tight, 2, -3)); // learnt under obj <= -3
-    assert_eq!(exchange.len(), 3);
-
-    // A worker at bound 5 (or tighter) may import tags >= its bound.
-    let mut cursor = 0;
-    let mut seen: Vec<Vec<Lit>> = Vec::new();
-    exchange.import_since(&mut cursor, 5, 1, |lits, _| seen.push(lits.to_vec()));
-    assert_eq!(seen, vec![free.to_vec(), bounded.to_vec()]);
-    assert_eq!(cursor, 3);
-
-    // A bound-free worker only gets bound-free facts.
-    let mut cursor = 0;
-    let mut seen = Vec::new();
-    exchange.import_since(&mut cursor, i64::MAX, 1, |lits, _| seen.push(lits.to_vec()));
-    assert_eq!(seen, vec![free.to_vec()]);
-
-    // A very tight bound entails everything published.
-    let mut cursor = 0;
-    let mut seen = Vec::new();
-    exchange.import_since(&mut cursor, -10, 1, |lits, _| seen.push(lits.to_vec()));
-    assert_eq!(seen.len(), 3);
-}
-
 /// A worker never re-imports its own clauses, and the bounded pool
 /// evicts oldest-first while cursors stay consistent.
 #[test]
@@ -167,7 +187,7 @@ fn clause_exchange_self_skip_and_eviction() {
     let exchange = ClauseExchange::with_capacity(4);
     for (i, var) in v.iter().enumerate() {
         let worker = i % 2;
-        assert!(exchange.publish(worker, &[var.lit()], 1, i64::MAX));
+        assert!(exchange.publish(worker, &[var.lit()], 1));
     }
     // 8 published into capacity 4: the first 4 were evicted, but len()
     // stays monotone so late-started cursors are well-defined.
@@ -176,15 +196,15 @@ fn clause_exchange_self_skip_and_eviction() {
     // Worker 0 sees only worker 1's surviving clauses (odd indices >= 4).
     let mut cursor = 0;
     let mut seen = Vec::new();
-    exchange.import_since(&mut cursor, i64::MAX, 0, |lits, _| seen.push(lits[0]));
+    exchange.import_since(&mut cursor, 0, |lits, _| seen.push(lits[0]));
     assert_eq!(seen, vec![v[5].lit(), v[7].lit()]);
     assert_eq!(cursor, 8);
 
     // The caught-up cursor imports nothing further until new publishes.
     let mut count = 0;
-    exchange.import_since(&mut cursor, i64::MAX, 0, |_, _| count += 1);
+    exchange.import_since(&mut cursor, 0, |_, _| count += 1);
     assert_eq!(count, 0);
-    assert!(exchange.publish(1, &[v[0].lit(), v[1].lit()], 2, i64::MAX));
-    exchange.import_since(&mut cursor, i64::MAX, 0, |lits, _| count += lits.len());
+    assert!(exchange.publish(1, &[v[0].lit(), v[1].lit()], 2));
+    exchange.import_since(&mut cursor, 0, |lits, _| count += lits.len());
     assert_eq!(count, 2);
 }

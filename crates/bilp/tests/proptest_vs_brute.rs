@@ -8,9 +8,13 @@
 //! is driven by the in-repo seeded generator so the suite needs no
 //! registry dependencies and every failure reproduces from its case
 //! index.
+//!
+//! Every check also drives one persistent `IncrementalSolver` at 1, 2
+//! and 4 engines through a feasibility query, the optimising descent
+//! and one query under random assumptions.
 
 use bilp::brute::{solve_exhaustive, BruteOutcome};
-use bilp::{Cmp, LinExpr, Model, Outcome, Solver, SolverConfig};
+use bilp::{Cmp, IncrementalSolver, LinExpr, Lit, Model, Outcome, Solver, SolverConfig, Var};
 use cgra_rng::Rng;
 
 #[derive(Debug, Clone)]
@@ -67,7 +71,7 @@ fn random_model(rng: &mut Rng) -> RawModel {
     }
 }
 
-fn build(raw: &RawModel) -> Model {
+fn build(raw: &RawModel) -> (Model, Vec<Var>) {
     let mut m = Model::new();
     let vars = m.new_vars(raw.n_vars);
     for c in &raw.constraints {
@@ -84,14 +88,112 @@ fn build(raw: &RawModel) -> Model {
         }
         m.minimize(e);
     }
+    (m, vars)
+}
+
+/// `model` with each assumption added as a unit constraint.
+fn with_units(model: &Model, assumptions: &[Lit]) -> Model {
+    let mut m = model.clone();
+    for &a in assumptions {
+        m.add_clause([a]);
+    }
     m
 }
 
+/// One to three random literals over `vars`.
+fn random_assumptions(vars: &[Var], case: usize) -> Vec<Lit> {
+    let mut rng = Rng::seed_from_u64(0xA55E_0000 ^ case as u64);
+    (0..rng.gen_range_inclusive(1..=3))
+        .map(|_| {
+            let v = vars[rng.gen_range(0..vars.len())];
+            if rng.gen_bool(0.5) {
+                v.lit()
+            } else {
+                !v.lit()
+            }
+        })
+        .collect()
+}
+
+/// Drives one `IncrementalSolver` at `threads` engines through
+/// `solve_feasible`, `optimize` and `solve_under_assumptions`, checking
+/// each answer against brute force.
+fn check_incremental(
+    (model, vars): (&Model, &[Var]),
+    brute: &BruteOutcome,
+    config: SolverConfig,
+    case: usize,
+    ctx: &str,
+) {
+    let feasible = |o: &Outcome| {
+        o.solution()
+            .is_some_and(|s| model.check(|v| s.value(v)).is_ok())
+    };
+    let mut inc = IncrementalSolver::new(model, config);
+    let first = inc.solve_feasible();
+    let best = inc.optimize();
+    match brute {
+        BruteOutcome::Infeasible => {
+            assert_eq!(first, Outcome::Infeasible, "{ctx}: feasibility verdict");
+            assert_eq!(best, Outcome::Infeasible, "{ctx}: optimising verdict");
+        }
+        BruteOutcome::Optimal { objective, .. } => {
+            assert!(feasible(&first), "{ctx}: feasibility answer {first:?}");
+            assert!(
+                matches!(best, Outcome::Optimal { .. }) && feasible(&best),
+                "{ctx}: optimising answer {best:?}"
+            );
+            assert_eq!(best.objective(), Some(*objective), "{ctx}: optimum");
+        }
+    }
+    let assumptions = random_assumptions(vars, case);
+    let answer = inc.solve_under_assumptions(&assumptions);
+    let ctx = format!("{ctx} assuming {assumptions:?}");
+    match solve_exhaustive(&with_units(model, &assumptions)) {
+        BruteOutcome::Infeasible => {
+            assert_eq!(answer, Outcome::Infeasible, "{ctx}: verdict");
+            let core = inc.unsat_core();
+            assert!(
+                core.iter().all(|l| assumptions.contains(l)),
+                "{ctx}: core {core:?} is not a subset"
+            );
+            assert_eq!(
+                solve_exhaustive(&with_units(model, core)),
+                BruteOutcome::Infeasible,
+                "{ctx}: core {core:?} is satisfiable"
+            );
+        }
+        BruteOutcome::Optimal { .. } => {
+            let s = answer
+                .solution()
+                .unwrap_or_else(|| panic!("{ctx}: answer {answer:?}"));
+            assert!(feasible(&answer), "{ctx}: solution violates the model");
+            assert!(
+                assumptions
+                    .iter()
+                    .all(|&l| s.value(l.var()) != l.is_negative()),
+                "{ctx}: solution violates an assumption"
+            );
+        }
+    }
+}
+
 /// Check one solver configuration against the exhaustive reference on a
-/// single model; panics with the reproducing case index on mismatch.
+/// single model, then one `IncrementalSolver` at 1, 2 and 4 engines;
+/// panics with the reproducing case index on mismatch.
 fn check_against_brute(raw: &RawModel, config: SolverConfig, case: usize, label: &str) {
-    let model = build(raw);
+    let (model, vars) = build(raw);
     let brute = solve_exhaustive(&model);
+    for threads in [1usize, 2, 4] {
+        let ctx = format!("[{label} incremental threads={threads}] case {case} {raw:?}");
+        check_incremental(
+            (&model, &vars),
+            &brute,
+            SolverConfig { threads, ..config },
+            case,
+            &ctx,
+        );
+    }
     let outcome = Solver::with_config(config).solve(&model);
     match (&brute, &outcome) {
         (BruteOutcome::Infeasible, Outcome::Infeasible) => {}

@@ -5,8 +5,7 @@ use crate::formulation::{BuildInfeasible, Formulation, FormulationStats};
 use crate::mapping::{validate_mapping, Mapping};
 use crate::options::MapperOptions;
 use bilp::{
-    Assignment, Certificate, HeuristicProbe, IncrementalSolver, Outcome, SolveStats, Solver,
-    SolverConfig,
+    Assignment, Certificate, HeuristicProbe, IncrementalSolver, Outcome, SolveStats, SolverConfig,
 };
 use cgra_dfg::Dfg;
 use cgra_mrrg::Mrrg;
@@ -95,7 +94,7 @@ pub struct MapReport {
     /// Size of the built formulation (zeros when presolve refuted the
     /// instance before the model was built).
     pub formulation: FormulationStats,
-    /// ILP solver statistics — engine counters, portfolio attribution and
+    /// ILP solver statistics — engine counters, race attribution and
     /// presolve reduction counters (all zero for the annealing mapper and
     /// for instances refuted before the solver ran).
     pub solver: SolveStats,
@@ -168,12 +167,11 @@ impl IlpMapper {
 
     /// Maps `dfg` onto `mrrg`.
     ///
-    /// Each attempt is one solve, chosen by how many engines
-    /// [`MapperOptions::threads`] resolves to. One engine answers the
-    /// feasibility question and, with [`MapperOptions::optimize`], goes
-    /// on to minimise routing on the same persistent solver; several
-    /// race in one portfolio solve. [`MapperOptions::time_limit`] bounds
-    /// the attempt as a whole.
+    /// Each attempt is one persistent solver over
+    /// [`MapperOptions::threads`] engines: it answers the feasibility
+    /// question and, with [`MapperOptions::optimize`], goes on to
+    /// minimise routing on the same engines.
+    /// [`MapperOptions::time_limit`] bounds the attempt as a whole.
     ///
     /// Returned mappings are re-validated structurally against both graphs
     /// before being handed back, so a `Mapped` outcome is always a
@@ -223,13 +221,7 @@ impl IlpMapper {
                 formulation.warm_start(dfg, &mapping);
             }
         }
-        // One solve per attempt, chosen only by how many engines run.
-        let config = self.solver_config(start);
-        let (out, solver_stats, certificate) = if config.effective_threads() == 1 {
-            self.solve_sequential(dfg, mrrg, &mut formulation, start)
-        } else {
-            self.solve_portfolio(dfg, mrrg, &formulation, config, start)
-        };
+        let (out, solver_stats, certificate) = self.solve(dfg, mrrg, &mut formulation, start);
         let outcome = self.decode_outcome(dfg, mrrg, &formulation, out);
         let infeasible_core = if self.options.explain_infeasible
             && matches!(outcome, MapOutcome::Infeasible { .. })
@@ -273,22 +265,28 @@ impl IlpMapper {
         }
     }
 
-    /// The one-engine solve. Inline seeding probes run first (when
-    /// [`MapperOptions::seed_probes`] asks for them) and a mapping they
-    /// find enters twice: as warm-start branch hints and as the
-    /// descent's first incumbent. Then one persistent
-    /// [`IncrementalSolver`] answers the feasibility question and, when
-    /// optimising, continues the descent on the same engine — learnt
-    /// clauses and variable activities carry over, and the feasible
-    /// solution seeds the first objective bound.
-    fn solve_sequential(
+    /// The attempt's one solve: a persistent [`IncrementalSolver`]
+    /// answers the feasibility question and, when optimising, continues
+    /// the descent on the same engines — learnt clauses and variable
+    /// activities carry over, and the feasible solution seeds the first
+    /// objective bound.
+    ///
+    /// Only probe delivery depends on the width
+    /// ([`MapperOptions::seed_probes`]). With one engine, inline probes
+    /// run first and a mapping they find enters twice: as warm-start
+    /// branch hints and as the descent's first incumbent. With several,
+    /// an [`AnnealProbe`] races the engines, and its validated mappings
+    /// become shared incumbents that bound every engine mid-solve.
+    fn solve(
         &self,
         dfg: &Dfg,
         mrrg: &Mrrg,
         formulation: &mut Formulation,
         start: Instant,
     ) -> (Outcome, SolveStats, Option<Certificate>) {
-        let seed = if self.options.seed_probes > 0 {
+        let racing = self.solver_config(start).effective_threads() > 1;
+        let probes = self.options.seed_probes > 0;
+        let seed = if probes && !racing {
             self.inline_probe(dfg, mrrg, formulation, start)
         } else {
             None
@@ -296,7 +294,18 @@ impl IlpMapper {
         if let Some((mapping, _)) = &seed {
             formulation.warm_start(dfg, mapping);
         }
-        let mut inc = IncrementalSolver::new(formulation.model(), self.solver_config(start));
+        let probe = (probes && racing).then(|| AnnealProbe {
+            dfg,
+            mrrg,
+            formulation,
+            options: self.options,
+            deadline: Instant::now() + self.probe_budget(start),
+        });
+        let config = self.solver_config(start);
+        let mut inc = match &probe {
+            Some(p) => IncrementalSolver::with_probe(formulation.model(), config, p),
+            None => IncrementalSolver::new(formulation.model(), config),
+        };
         if let Some(flag) = &self.interrupt {
             inc.set_interrupt(Arc::clone(flag));
         }
@@ -310,37 +319,6 @@ impl IlpMapper {
             first
         };
         (out, inc.stats(), inc.certificate().cloned())
-    }
-
-    /// The multi-engine solve: one portfolio [`Solver`] run. With
-    /// [`MapperOptions::seed_probes`] set, annealing probe workers race
-    /// the CDCL engines and their validated mappings become shared
-    /// incumbents that bound every engine mid-solve.
-    fn solve_portfolio(
-        &self,
-        dfg: &Dfg,
-        mrrg: &Mrrg,
-        formulation: &Formulation,
-        config: SolverConfig,
-        start: Instant,
-    ) -> (Outcome, SolveStats, Option<Certificate>) {
-        let mut solver = Solver::with_config(config);
-        if let Some(flag) = &self.interrupt {
-            solver.set_interrupt(Arc::clone(flag));
-        }
-        let out = if self.options.seed_probes > 0 {
-            let probe = AnnealProbe {
-                dfg,
-                mrrg,
-                formulation,
-                options: self.options,
-                deadline: Instant::now() + self.probe_budget(start),
-            };
-            solver.solve_with_probe(formulation.model(), &probe)
-        } else {
-            solver.solve(formulation.model())
-        };
-        (out, solver.stats(), solver.certificate().cloned())
     }
 
     /// Translates a solver outcome into a [`MapOutcome`], decoding and
@@ -533,7 +511,7 @@ impl AnnealAttempts {
     }
 }
 
-/// A racing probe source for the portfolio: each `probe` call runs
+/// A racing probe source for several engines: each `probe` call runs
 /// probe attempts of at most 250 ms under the diversified seed until one
 /// produces an encodable mapping or the probe deadline passes (`None`
 /// then retires the probe worker; the CDCL workers keep the full time
@@ -817,7 +795,7 @@ mod tests {
     #[test]
     fn seeding_probes_change_nothing_provable() {
         // The proven-optimal routing usage must be identical with and
-        // without probes, sequentially and in the portfolio.
+        // without probes, on one engine and on two.
         let mrrg = small_mrrg(1);
         let dfg = tiny_dfg();
         let baseline = IlpMapper::new(MapperOptions {

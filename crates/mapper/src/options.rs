@@ -103,14 +103,15 @@ pub struct MapperOptions {
     /// solvers offer). Verdicts — feasible, infeasible, optimal — are
     /// still produced by the exact solver; hints only steer search order.
     pub warm_start: bool,
-    /// Number of solver engines for the ILP mapper. One engine (`1`, or
-    /// `0` on a one-core machine) is a persistent sequential solver whose
-    /// feasibility solve and optimising descent share learnt clauses
-    /// (bit-for-bit deterministic); `0` uses all available cores; `n > 1`
-    /// races `n` diversified engines in one portfolio solve and returns
-    /// the first decisive verdict. Verdicts and optimal objective values
-    /// are identical across thread counts; which optimal *solution* is
-    /// returned may differ.
+    /// Number of solver engines for the ILP mapper; `0` uses all
+    /// available cores. Each attempt is one persistent solver whose
+    /// feasibility solve and optimising descent share learnt clauses on
+    /// these engines. One engine runs on the calling thread (bit-for-bit
+    /// deterministic); `n > 1` races `n` diversified engines on every
+    /// query, sharing incumbents and glue clauses, and returns the first
+    /// decisive answer. Decided verdicts and proven optimal objective
+    /// values are identical across thread counts; which optimal
+    /// *solution* is returned may differ.
     pub threads: usize,
     /// Whether the ILP solver runs its presolve pipeline (propagation,
     /// saturation, equivalence merging, probing, …) before search. On by
@@ -183,15 +184,14 @@ pub struct MapperOptions {
     /// a first incumbent *before* (and, with several engines,
     /// *concurrently with*) its own search. With one engine the probes
     /// run inline and seed the descent plus the warm-start branch
-    /// hints; with several they race inside the `bilp` portfolio
-    /// as first-class probe workers whose incumbents bound every CDCL
-    /// engine mid-solve. Verdicts, optimal objective values and
+    /// hints; with several they race the engines as first-class probe
+    /// workers whose incumbents bound every CDCL engine mid-solve. Verdicts, optimal objective values and
     /// infeasibility certificates are unaffected — probes only supply
     /// upper bounds earlier. `0` (the default) disables seeding.
     pub seed_probes: usize,
     /// Wall-clock budget for heuristic seeding probes per mapping
     /// attempt (split across `seed_probes` attempts inline, or bounding
-    /// each portfolio probe worker's racing window). `None` derives a
+    /// each racing probe worker's window). `None` derives a
     /// default from `time_limit`: 10% of the remaining budget, clamped
     /// to [100 ms, 2 s], or 1 s when unlimited.
     pub probe_budget: Option<Duration>,

@@ -13,11 +13,11 @@
 //!   a component-level capacity matching with multiplicity II rejects
 //!   over-subscribed IIs without building an MRRG or a formulation;
 //! * each II the analysis does not reject is one [`IlpMapper::map`]
-//!   call: with one engine the feasibility question and the
-//!   routing-minimisation descent run on one persistent solver, so
-//!   learnt clauses and variable activities from the feasibility solve
-//!   carry into optimisation and its solution seeds the first objective
-//!   bound; with more, one portfolio solve answers both;
+//!   call: the feasibility question and the routing-minimisation
+//!   descent run on one persistent solver (one engine or a race of
+//!   several), so learnt clauses and variable activities from the
+//!   feasibility solve carry into optimisation and its solution seeds
+//!   the first objective bound;
 //! * presolve and engine statistics are accumulated across every attempt
 //!   into [`MinIiReport::totals`].
 
