@@ -1,19 +1,21 @@
-//! Shared command-line handling for the bench binaries.
+//! Command-line handling for the `paper` binary.
 //!
-//! Every experiment binary speaks the same small dialect — `--flag
-//! value` options, positional benchmark filters, `--help` — and every
-//! one of them used to hand-roll it with `expect`, so a typo died with
-//! a panic and a backtrace instead of a usage line. This module is the
-//! one implementation: a bad invocation prints what was wrong and the
-//! usage text to stderr and exits with status 2 (the conventional
-//! "usage error" code); `--help` prints the usage to stdout and exits 0.
+//! Every mode speaks the same small dialect — `--flag value` options,
+//! positional benchmark filters, `--help` — through this one
+//! implementation, so a typo never dies with a panic and a backtrace:
+//! a bad invocation prints what was wrong and the usage text to stderr
+//! and exits with status 2 (the conventional "usage error" code);
+//! `--help` prints the usage to stdout and exits 0.
 //!
 //! ```no_run
 //! use std::time::Duration;
 //!
 //! let mut cli = cgra_bench::cli::Cli::new(
-//!     "table2 [--time-limit <seconds>] [benchmark ...]",
+//!     "paper table2 [--time-limit <seconds>] [benchmark ...]",
 //! );
+//! if cli.next_arg().as_deref() != Some("table2") {
+//!     cli.fail("expected the table2 mode");
+//! }
 //! let mut time_limit = Duration::from_secs(60);
 //! let mut filter: Vec<String> = Vec::new();
 //! while let Some(arg) = cli.next_arg() {
@@ -106,107 +108,5 @@ impl Cli {
         eprintln!("{}: {message}", self.program);
         eprintln!("usage: {}", self.usage);
         std::process::exit(2);
-    }
-}
-
-/// Writes an output artifact (a `BENCH_*.json`, a rendered table),
-/// exiting with a contextual error instead of a panic when the path is
-/// not writable.
-pub fn write_output(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {path}");
-}
-
-/// Geometric mean of a sample of positive ratios; `1.0` for an empty
-/// slice. Every `BENCH_*.json` summary ratio (speedups, wall ratios,
-/// size reductions) goes through this one definition so the files stay
-/// mutually comparable.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// The shared `config/kernel` instance key (e.g. `homo-diag/mult_10`)
-/// used to join rows across the `BENCH_*.json` files.
-pub fn instance_key(arch: &str, kernel: &str) -> String {
-    format!("{arch}/{kernel}")
-}
-
-/// Logical cores available to this process (`1` when the kernel does
-/// not say).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// [`host_cores`], after checking the run's requested thread (or job)
-/// counts against it: any count above the core count gets a stderr
-/// warning — timings measured on an oversubscribed host reflect
-/// scheduler contention, not solver scaling. Every `BENCH_*.json`
-/// header records both sides (`host_cores` next to the requested
-/// counts) so a reader can apply the same judgement after the fact.
-pub fn host_cores_checked(thread_counts: &[usize]) -> usize {
-    let cores = host_cores();
-    let over: Vec<usize> = thread_counts
-        .iter()
-        .copied()
-        .filter(|&t| t > cores)
-        .collect();
-    if !over.is_empty() {
-        eprintln!(
-            "warning: requested thread counts {over:?} oversubscribe {cores} host cores; \
-             wall-clock comparisons at those counts measure contention, not scaling"
-        );
-    }
-    cores
-}
-
-/// Renders thread counts as a JSON array (`[1, 2, 4]`) for a bench
-/// header's `thread_counts` field.
-pub fn thread_counts_json(thread_counts: &[usize]) -> String {
-    format!(
-        "[{}]",
-        thread_counts
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    )
-}
-
-/// Peak resident set size of this process in bytes (Linux `VmHWM`), or
-/// `None` where the kernel does not expose it.
-pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn geomean_of_ratios() {
-        assert_eq!(geomean(&[]), 1.0);
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geomean(&[1.5]) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn instance_keys_join_bench_files() {
-        assert_eq!(instance_key("homo-diag", "mult_10"), "homo-diag/mult_10");
-    }
-
-    #[test]
-    fn peak_rss_is_positive_when_available() {
-        if let Some(b) = peak_rss_bytes() {
-            assert!(b > 0);
-        }
     }
 }

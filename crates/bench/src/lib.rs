@@ -1,23 +1,27 @@
 //! # cgra-bench — the paper's experiment harness
 //!
-//! One binary per table/figure of the DAC 2018 paper (see DESIGN.md §3):
+//! One binary, `paper`, reproduces every table and figure of the DAC
+//! 2018 paper, one mode each (see DESIGN.md §3):
 //!
-//! * `table1` — benchmark characteristics (paper Table 1),
-//! * `table2` — the 19-benchmark x 8-architecture feasibility matrix
-//!   (paper Table 2) plus the solve-time distribution (paper Section 5's
-//!   runtime statement),
-//! * `fig8` — ILP vs simulated-annealing mapped-benchmark counts,
-//! * `mrrg_figures` — the MRRG construction fragments of Figs 1-3,
-//! * `ablation_objective` / `ablation_constraints` — this repository's
-//!   own ablations (DESIGN.md A1/A2).
+//! * `paper table1` — benchmark characteristics (paper Table 1),
+//! * `paper table2` — the 19-benchmark x 8-architecture feasibility
+//!   matrix (paper Table 2) plus the solve-time distribution (paper
+//!   Section 5's runtime statement),
+//! * `paper fig8` — ILP vs simulated-annealing mapped-benchmark counts,
+//! * `paper mrrg_figures` — the MRRG construction fragments of Figs 1-3,
+//! * `paper ablation_objective` / `paper ablation_constraints` — this
+//!   repository's own ablations (DESIGN.md A1/A2).
+//!
+//! Performance is measured by the separate fixed-work benchmark in
+//! `perfbench/`, which reads [`PAPER_TABLE2`] from this crate.
 //!
 //! This library crate carries the shared harness: the paper's published
-//! Table 2 values for comparison, cell runners and text-table rendering.
+//! Table 2 values for comparison, cell runners, text-table rendering and
+//! the command-line dialect of [`cli`].
 
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod timing;
 
 use cgra_arch::families::{paper_configs, PaperConfig};
 use cgra_dfg::benchmarks::{self, BenchmarkEntry};
@@ -74,31 +78,14 @@ pub struct Cell {
     /// `"check-failed"`) when the cell ran with certification enabled;
     /// `None` otherwise. See [`cgra_mapper::VerdictProvenance`].
     pub check: Option<&'static str>,
-    /// Solver engine counters for the attempt — conflicts, learnt-clause
-    /// LBD distribution, clause-database tier accounting and portfolio
-    /// clause-sharing traffic (all zero for the annealing mapper).
-    pub engine: bilp::EngineStats,
 }
 
-/// Mapper selection for [`run_matrix`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Mapper selection for [`run_cell`] and [`run_matrix`].
+#[derive(Debug, Clone, Copy)]
 pub enum WhichMapper {
-    /// The exact ILP mapper (optionally warm-started).
-    Ilp {
-        /// Enable the SA warm-start portfolio (MIP start).
-        warm_start: bool,
-        /// Portfolio solver threads per instance (1 = the sequential
-        /// engine, 0 = all cores, n = race n diversified engines).
-        threads: usize,
-        /// Run the `bilp` presolve pipeline before search.
-        presolve: bool,
-        /// Certify infeasible verdicts: proof-log the solver and replay
-        /// the proof through the independent `bilp` checker.
-        certify: bool,
-        /// Solver memory ceiling in bytes (learnt clauses + proof log);
-        /// `None` leaves the solver unbounded.
-        mem_limit: Option<usize>,
-    },
+    /// The exact ILP mapper with these options; [`run_cell`] overrides
+    /// only their `time_limit`.
+    Ilp(MapperOptions),
     /// The simulated-annealing baseline with "moderate parameters".
     Annealing,
 }
@@ -107,13 +94,10 @@ impl WhichMapper {
     /// The exact mapper with warm start and the sequential engine — the
     /// configuration every paper experiment defaults to.
     pub fn ilp() -> Self {
-        WhichMapper::Ilp {
+        WhichMapper::Ilp(MapperOptions {
             warm_start: true,
-            threads: 1,
-            presolve: true,
-            certify: false,
-            mem_limit: None,
-        }
+            ..MapperOptions::default()
+        })
     }
 }
 
@@ -128,30 +112,16 @@ pub fn run_cell(
     let mrrg = build_mrrg(&config.arch, config.contexts);
     let options = MapperOptions {
         time_limit: Some(time_limit),
-        warm_start: matches!(
-            mapper,
-            WhichMapper::Ilp {
-                warm_start: true,
-                ..
-            }
-        ),
-        threads: match mapper {
-            WhichMapper::Ilp { threads, .. } => threads,
-            WhichMapper::Annealing => 1,
-        },
-        presolve: match mapper {
-            WhichMapper::Ilp { presolve, .. } => presolve,
-            WhichMapper::Annealing => false,
-        },
-        certify: matches!(mapper, WhichMapper::Ilp { certify: true, .. }),
-        mem_limit: match mapper {
-            WhichMapper::Ilp { mem_limit, .. } => mem_limit,
-            WhichMapper::Annealing => None,
-        },
-        ..MapperOptions::default()
+        ..match mapper {
+            WhichMapper::Ilp(options) => options,
+            WhichMapper::Annealing => MapperOptions {
+                presolve: false,
+                ..MapperOptions::default()
+            },
+        }
     };
     let report = match mapper {
-        WhichMapper::Ilp { .. } => IlpMapper::new(options).map(&dfg, &mrrg),
+        WhichMapper::Ilp(_) => IlpMapper::new(options).map(&dfg, &mrrg),
         WhichMapper::Annealing => {
             AnnealingMapper::new(options, AnnealParams::default()).map(&dfg, &mrrg)
         }
@@ -178,43 +148,19 @@ pub fn run_cell(
         elapsed: report.elapsed,
         routing_usage,
         check,
-        engine: report.solver.engine,
     }
 }
 
-/// Runs the full (or filtered) benchmark x architecture matrix.
+/// Runs the full (or filtered) benchmark x architecture matrix with
+/// `jobs` worker threads.
 ///
 /// `filter` selects benchmarks by name; an empty filter runs all 19.
-/// Cells are evaluated in row-major order and streamed to `progress`.
+/// Cells come back in row-major order; each instance's wall-clock is
+/// captured inside [`run_cell`] so a parallel sweep reports
+/// per-instance times, not wall-clock shares. `progress` is invoked from
+/// worker threads as cells complete (i.e. possibly out of order). With
+/// `jobs <= 1` the sweep runs sequentially on the calling thread.
 pub fn run_matrix(
-    mapper: WhichMapper,
-    time_limit: Duration,
-    filter: &[String],
-    mut progress: impl FnMut(&Cell),
-) -> Vec<Cell> {
-    let configs = paper_configs();
-    let mut cells = Vec::new();
-    for entry in benchmarks::all() {
-        if !filter.is_empty() && !filter.iter().any(|f| f == entry.name) {
-            continue;
-        }
-        for config in &configs {
-            let cell = run_cell(entry, config, mapper, time_limit);
-            progress(&cell);
-            cells.push(cell);
-        }
-    }
-    cells
-}
-
-/// Runs the full (or filtered) matrix with `jobs` worker threads.
-///
-/// Cells come back in the same row-major order as [`run_matrix`]; each
-/// instance's wall-clock is captured inside [`run_cell`] so the parallel
-/// sweep reports per-instance times, not wall-clock shares. `progress`
-/// is invoked from worker threads as cells complete (i.e. possibly out
-/// of order). With `jobs <= 1` this degenerates to the sequential sweep.
-pub fn run_matrix_parallel(
     mapper: WhichMapper,
     time_limit: Duration,
     filter: &[String],
@@ -374,13 +320,10 @@ mod tests {
         let cell = run_cell(
             entry,
             homo_diag_2,
-            WhichMapper::Ilp {
-                warm_start: false,
-                threads: 1,
-                presolve: true,
+            WhichMapper::Ilp(MapperOptions {
                 certify: true,
-                mem_limit: None,
-            },
+                ..MapperOptions::default()
+            }),
             Duration::from_secs(120),
         );
         assert_eq!(cell.symbol, "1");
@@ -398,7 +341,6 @@ mod tests {
             elapsed: Duration::from_millis(1),
             routing_usage: Some(10),
             check: None,
-            engine: bilp::EngineStats::default(),
         };
         let text = render_matrix(&[cell]);
         assert!(text.contains("Total Feasible"));
@@ -415,7 +357,6 @@ mod tests {
             elapsed: Duration::from_millis(1),
             routing_usage: None,
             check: None,
-            engine: bilp::EngineStats::default(),
         };
         let (agree, total, mismatches) = compare_to_paper(&[cell]);
         assert_eq!((agree, total), (0, 1));

@@ -59,6 +59,6 @@ pub use presolve::{
 };
 pub use proof::{Certificate, ProofLog, ProofOrigin, ProofStep, StepKind};
 pub use solve::{
-    certify_infeasibility, threads_from_env, Assignment, HeuristicProbe, IncrementalSolver,
-    IncumbentSource, Outcome, SolveStats, Solver, SolverConfig,
+    certify_infeasibility, Assignment, HeuristicProbe, IncrementalSolver, IncumbentSource, Outcome,
+    SolveStats, Solver, SolverConfig,
 };

@@ -150,14 +150,6 @@ impl SolverConfig {
     }
 }
 
-/// Reads the `BILP_THREADS` environment variable: the conventional way
-/// for binaries and examples in this repository to default their
-/// `--threads` flag. Unset, empty or unparsable values yield `None`;
-/// `0` means "all cores" (see [`SolverConfig::threads`]).
-pub fn threads_from_env() -> Option<usize> {
-    std::env::var("BILP_THREADS").ok()?.trim().parse().ok()
-}
-
 /// A complete 0/1 assignment to the model's variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {

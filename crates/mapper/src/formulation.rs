@@ -1289,19 +1289,32 @@ mod tests {
         g.connect(a, s, 1).unwrap();
         g.connect(s, o, 0).unwrap();
 
+        // The largest Table 2 kernel by operation count on homo-diag at
+        // II=2: the paper-scale build, where emission cost shows.
+        let largest = cgra_dfg::benchmarks::all()
+            .iter()
+            .max_by_key(|e| ((e.build)().op_count(), e.name))
+            .expect("benchmarks exist");
+        let homo_diag = grid(GridParams::paper(
+            FuMix::Homogeneous,
+            Interconnect::Diagonal,
+        ));
+
         let opts = |jobs| MapperOptions {
             optimize: true,
             build_jobs: jobs,
             ..MapperOptions::default()
         };
-        let seq = Formulation::build(&g, &mrrg, opts(1)).expect("builds");
-        let par = Formulation::build(&g, &mrrg, opts(4)).expect("builds");
-        assert_eq!(seq.model().num_vars(), par.model().num_vars());
-        assert_eq!(seq.model().constraints(), par.model().constraints());
-        assert_eq!(seq.model().objective(), par.model().objective());
-        assert_eq!(seq.model().branch_hints(), par.model().branch_hints());
-        assert_eq!(seq.constraint_groups(), par.constraint_groups());
-        assert_eq!(seq.stats(), par.stats());
+        for (g, mrrg) in [(g, mrrg), ((largest.build)(), build_mrrg(&homo_diag, 2))] {
+            let seq = Formulation::build(&g, &mrrg, opts(1)).expect("builds");
+            let par = Formulation::build(&g, &mrrg, opts(4)).expect("builds");
+            assert_eq!(seq.model().num_vars(), par.model().num_vars());
+            assert_eq!(seq.model().constraints(), par.model().constraints());
+            assert_eq!(seq.model().objective(), par.model().objective());
+            assert_eq!(seq.model().branch_hints(), par.model().branch_hints());
+            assert_eq!(seq.constraint_groups(), par.constraint_groups());
+            assert_eq!(seq.stats(), par.stats());
+        }
     }
 
     #[test]

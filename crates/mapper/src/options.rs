@@ -125,7 +125,7 @@ pub struct MapperOptions {
     /// are dropped, and the two prunings iterate to a fixpoint. Off
     /// emits the textbook all-candidates encoding — every routing node a
     /// candidate for every value — which is the baseline the reduction
-    /// is benchmarked against (`BENCH_presolve.json`).
+    /// was measured against (EXPERIMENTS.md A4).
     pub reach_reduction: bool,
     /// Conflict budget per solver query (each feasibility solve and each
     /// objective-bound probe of the optimising descent counts its own
@@ -139,7 +139,8 @@ pub struct MapperOptions {
     /// the routing-minimisation descent stops at the first mapping whose
     /// objective is at or below this value instead of descending to the
     /// proven optimum (MIP "best-objective stop"). `None` = descend
-    /// until optimal. `engine_bench` uses it to time the min-II ladder to
+    /// until optimal. perfbench's traced requests pass it to the solver,
+    /// and `certify_differential.rs` uses it to run the min-II ladder to
     /// its first incumbent.
     pub objective_stop: Option<i64>,
     /// Whether an infeasible verdict is accompanied by an explanation:

@@ -5,7 +5,7 @@
 //! every decided verdict must audit cleanly, with every infeasible II
 //! step carrying an independently checked certificate.
 
-use cgra_arch::families::{grid, FuMix, GridParams, Interconnect};
+use cgra_arch::families::{grid, paper_configs, FuMix, GridParams, Interconnect};
 use cgra_mapper::{map_min_ii, MapOutcome, MapperOptions, VerdictProvenance};
 use std::time::Duration;
 
@@ -147,4 +147,42 @@ fn uncertified_infeasibility_is_unchecked() {
     let attempt = report.attempts.first().expect("one attempt");
     assert_eq!(attempt.report.outcome.table_symbol(), "0");
     assert_eq!(attempt.provenance, VerdictProvenance::Unchecked);
+}
+
+/// The certified first-incumbent ladder (`objective_stop` at the first
+/// mapping, certification on) on two cheap instances: each maps at II=1,
+/// its recorded baseline ladder, and no attempt's certificate fails its
+/// independent check.
+#[test]
+fn certified_first_incumbent_ladder_maps_cheap_instances_at_ii_1() {
+    let configs = paper_configs();
+    for (label, kernel) in [("hetero-diag", "2x2-f"), ("hetero-orth", "accum")] {
+        let config = configs
+            .iter()
+            .find(|c| c.label == label)
+            .expect("paper config");
+        let dfg = (cgra_dfg::benchmarks::by_name(kernel).expect("known").build)();
+        let options = MapperOptions {
+            optimize: true,
+            certify: true,
+            time_limit: Some(Duration::from_secs(20)),
+            objective_stop: Some(i64::MAX),
+            ..MapperOptions::default()
+        };
+        let report = map_min_ii(&dfg, &config.arch, options, 2);
+        let ladder: Vec<&str> = report
+            .attempts
+            .iter()
+            .map(|a| a.report.outcome.table_symbol())
+            .collect();
+        assert_eq!(ladder, ["1"], "{label}/{kernel}: per-II verdicts");
+        for attempt in &report.attempts {
+            let failed = attempt
+                .report
+                .certificate
+                .as_ref()
+                .is_some_and(|c| c.is_check_failed());
+            assert!(!failed, "{label}/{kernel} II={}: check-failed", attempt.ii);
+        }
+    }
 }

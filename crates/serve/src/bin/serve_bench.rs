@@ -1,39 +1,18 @@
 //! Load generator and CI smoke test for the `cgra-serve` daemon.
 //!
-//! Full mode (the default) measures the service end-to-end over TCP.
+//! Full mode (the default) measures what the fixed-work benchmark's
+//! single-client `serve` workload does not: the pipelined warm *storm*.
 //! For each worker count in {1, 2, 4, 8} it starts a fresh in-process
-//! service and runs three passes on a matrix of Table-2 arch × kernel
-//! cells: a cold pass (every cell solved once, concurrently), a warm
-//! pass (identical requests against the now-warm cache), and a warm
-//! *storm* — pipelined identical requests over a handful of persistent
-//! connections, the headline throughput number, which exercises the
-//! reactor's frame reassembly and the raw-text memo fast path rather
-//! than per-connection round-trip latency. Three service-level phases
-//! run once after the matrix:
-//!
-//! * **mixed** — tens of thousands of requests, ~0.5% cold (unique
-//!   option fingerprints force real solves), with p50/p99 latency and
-//!   load-shedding (`overloaded` rejections) reporting;
-//! * **coalesce** — K identical concurrent cold requests against a
-//!   single-worker service, counter-asserted to exactly one solve;
-//! * **restart** — a cell solved under a persistent cache directory
-//!   must replay byte-identically from the memory tier, and again from
-//!   the disk tier after a full daemon restart.
-//!
-//! Results are written as JSON (hand-rendered — no serde in this build
-//! environment) to `BENCH_serve.json`.
-//!
-//! The verdict check distinguishes two disagreement classes. A decided
-//! verdict that flips (`1` vs `0`) is a soundness violation and fails
-//! the run. A timeout on one side only (`T` vs decided) is recorded as
-//! `timeout_boundary` — tallied per cell and per run — but tolerated:
-//! the solver's time limit is wall-clock, so on a host with fewer cores
-//! than workers, concurrent solves are time-sliced and a cell near the
-//! budget boundary can exceed it under load while deciding when run
-//! alone.
+//! service, primes the cache with every cell of a Table-2 arch × kernel
+//! matrix, then has a handful of persistent connections pipeline
+//! identical warm requests. The number printed per worker count is the
+//! daemon's frame-reassembly + cache-fast-path capacity, not
+//! per-connection round-trip latency. Nothing is written to disk; the
+//! run exits nonzero if a priming request fails or a storm response is
+//! missing or not `ok`.
 //!
 //! ```text
-//! serve_bench [--time-limit <seconds>] [--out <path>]
+//! serve_bench [--time-limit <seconds>]
 //! serve_bench --smoke [--connect HOST:PORT]
 //! ```
 //!
@@ -45,18 +24,19 @@
 //! `--connect` it drives an externally started daemon (assertions use
 //! counter deltas, so a warm daemon is fine); otherwise it spins one up
 //! in-process.
+//!
+//! Service-level behaviour — verdict parity with the direct mapper,
+//! coalescing, restart persistence, sharded redirects, load shedding —
+//! is asserted by `tests/service.rs`.
 
 use cgra_arch::families::paper_configs;
 use cgra_dfg::benchmarks;
-use cgra_mapper::{IlpMapper, MapperOptions};
-use cgra_rng::Rng;
 use cgra_serve::client::Client;
 use cgra_serve::json::{obj, s, Json};
 use cgra_serve::server;
 use cgra_serve::service::{Service, ServiceConfig};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -71,16 +51,8 @@ const STORM_PER_CONN: usize = 2000;
 /// In-flight window per pipelined connection (send W, then receive W).
 const PIPELINE_WINDOW: usize = 64;
 
-/// Mixed-phase shape.
-const MIXED_REQUESTS: usize = 20_000;
-const MIXED_CONNS: usize = 4;
-const MIXED_COLD_RATE: f64 = 0.005;
-
-/// Coalesce-phase waiters (1 leader + K-1 followers).
-const COALESCE_WAITERS: usize = 32;
-
 const USAGE: &str = "\
-usage: serve_bench [--time-limit <seconds>] [--out <path>]
+usage: serve_bench [--time-limit <seconds>]
        serve_bench --smoke [--connect HOST:PORT]";
 
 fn fail(message: &str) -> ! {
@@ -131,7 +103,6 @@ fn main() {
     let mut smoke = false;
     let mut connect: Option<String> = None;
     let mut time_limit = Duration::from_secs(10);
-    let mut out_path = String::from("BENCH_serve.json");
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -150,7 +121,6 @@ fn main() {
                     .unwrap_or_else(|| fail("--time-limit takes seconds"));
                 time_limit = Duration::from_secs(secs);
             }
-            "--out" => out_path = args.next().unwrap_or_else(|| fail("--out takes a path")),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -162,7 +132,7 @@ fn main() {
     if smoke {
         run_smoke(connect.as_deref(), time_limit);
     } else {
-        run_full(&out_path, time_limit);
+        run_full(time_limit);
     }
 }
 
@@ -415,116 +385,7 @@ fn build_cells() -> Vec<Cell> {
     cells
 }
 
-/// Direct in-process reference verdicts (threads=1, same options the
-/// service receives) — the ground truth the service must reproduce.
-fn reference_symbols(cells: &[Cell], time_limit: Duration) -> Vec<&'static str> {
-    cells
-        .iter()
-        .map(|cell| {
-            let dfg = cgra_dfg::text::parse(&cell.dfg_text).expect("cell DFG parses");
-            let arch = cgra_arch::text::parse(&cell.arch_text).expect("cell arch parses");
-            let mrrg = cgra_mrrg::build_mrrg(&arch, cell.ii);
-            let options = MapperOptions {
-                time_limit: Some(time_limit),
-                ..MapperOptions::default()
-            };
-            IlpMapper::new(options)
-                .map(&dfg, &mrrg)
-                .outcome
-                .table_symbol()
-        })
-        .collect()
-}
-
-fn outcome_symbol(result: &Json) -> &'static str {
-    match result
-        .get("outcome")
-        .and_then(|o| o.get("kind"))
-        .and_then(Json::as_str)
-    {
-        Some("mapped") => "1",
-        Some("infeasible") => "0",
-        _ => "T",
-    }
-}
-
-struct PassStats {
-    latencies: Vec<Duration>,
-    wall: Duration,
-    hits: usize,
-    symbols: Vec<(usize, &'static str)>,
-}
-
-/// (cell index, latency, cache hit, verdict symbol) per response.
-type PassRow = (usize, Duration, bool, &'static str);
-
-/// Submits every cell once, concurrently, over `clients` connections.
-fn run_pass(addr: &str, cells: &[Cell], clients: usize, time_limit: Duration) -> PassStats {
-    let next = Arc::new(Mutex::new(0usize));
-    let results: Arc<Mutex<Vec<PassRow>>> = Arc::new(Mutex::new(Vec::with_capacity(cells.len())));
-    let wall_start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..clients.max(1) {
-            let next = Arc::clone(&next);
-            let results = Arc::clone(&results);
-            scope.spawn(move || {
-                let mut client = match Client::connect(addr) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("serve_bench: connect failed: {e}");
-                        return;
-                    }
-                };
-                loop {
-                    let index = {
-                        let mut cursor = next.lock().unwrap();
-                        if *cursor >= cells.len() {
-                            break;
-                        }
-                        let i = *cursor;
-                        *cursor += 1;
-                        i
-                    };
-                    let cell = &cells[index];
-                    let start = Instant::now();
-                    match client.map(
-                        &cell.dfg_text,
-                        &cell.arch_text,
-                        cell.ii,
-                        Some(options_json(time_limit)),
-                    ) {
-                        Ok(response) => {
-                            let served = response.served.expect("map responses carry served");
-                            results.lock().unwrap().push((
-                                index,
-                                start.elapsed(),
-                                served.cache_hit,
-                                outcome_symbol(&response.result),
-                            ));
-                        }
-                        Err(e) => {
-                            eprintln!("serve_bench: {} failed: {e}", cell.label);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let wall = wall_start.elapsed();
-    let mut rows = Arc::try_unwrap(results)
-        .expect("pass threads joined")
-        .into_inner()
-        .unwrap();
-    rows.sort_by_key(|(i, ..)| *i);
-    PassStats {
-        latencies: rows.iter().map(|(_, d, ..)| *d).collect(),
-        wall,
-        hits: rows.iter().filter(|(_, _, hit, _)| *hit).count(),
-        symbols: rows.iter().map(|(i, _, _, sym)| (*i, *sym)).collect(),
-    }
-}
-
-/// The headline pass: `STORM_CONNS` persistent connections pipeline
+/// The warm storm: `STORM_CONNS` persistent connections pipeline
 /// identical warm requests (windowed send/recv bursts), so the measured
 /// number is the daemon's frame-reassembly + cache-fast-path capacity,
 /// not the client's round-trip latency.
@@ -566,10 +427,13 @@ fn run_warm_storm(addr: &str, cells: &[Cell], time_limit: Duration) -> (usize, D
                     sent += window;
                     for _ in 0..window {
                         match client.recv_line() {
-                            Ok(resp) => {
-                                debug_assert!(resp.contains("\"ok\":true"));
+                            Ok(resp) if resp.contains("\"ok\":true") => {
                                 received += 1;
                                 completed.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Ok(resp) => {
+                                eprintln!("serve_bench: storm request failed: {resp}");
+                                return;
                             }
                             Err(e) => {
                                 eprintln!("serve_bench: storm recv failed: {e}");
@@ -587,418 +451,22 @@ fn run_warm_storm(addr: &str, cells: &[Cell], time_limit: Duration) -> (usize, D
     )
 }
 
-fn percentile(sorted: &[Duration], q: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-fn pass_json(stats: &PassStats, cells: usize) -> Json {
-    let mut sorted = stats.latencies.clone();
-    sorted.sort();
-    let throughput = if stats.wall.as_secs_f64() > 0.0 {
-        stats.latencies.len() as f64 / stats.wall.as_secs_f64()
-    } else {
-        0.0
-    };
-    obj(vec![
-        ("completed", Json::Int(stats.latencies.len() as i64)),
-        ("expected", Json::Int(cells as i64)),
-        ("cache_hits", Json::Int(stats.hits as i64)),
-        (
-            "p50_ms",
-            Json::Float(percentile(&sorted, 0.50).as_secs_f64() * 1e3),
-        ),
-        (
-            "p99_ms",
-            Json::Float(percentile(&sorted, 0.99).as_secs_f64() * 1e3),
-        ),
-        ("wall_s", Json::Float(stats.wall.as_secs_f64())),
-        ("throughput_rps", Json::Float(throughput)),
-    ])
-}
-
-/// Mixed hot/cold sweep: `MIXED_REQUESTS` pipelined requests where a
-/// seeded ~`MIXED_COLD_RATE` fraction carries a unique time limit (a
-/// distinct option fingerprint — a guaranteed cold solve). Reports
-/// latency SLOs and `overloaded` load-shedding.
-fn run_mixed(addr: &str, cells: &[Cell], time_limit: Duration) -> Json {
-    let per_conn = MIXED_REQUESTS / MIXED_CONNS;
-    let unique = Arc::new(AtomicU64::new(0));
-    let all: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::with_capacity(MIXED_REQUESTS)));
-    let rejected = Arc::new(AtomicU64::new(0));
-    let cold_sent = Arc::new(AtomicU64::new(0));
-    let errors = Arc::new(AtomicU64::new(0));
-    let wall_start = Instant::now();
-    std::thread::scope(|scope| {
-        for conn in 0..MIXED_CONNS {
-            let unique = Arc::clone(&unique);
-            let all = Arc::clone(&all);
-            let rejected = Arc::clone(&rejected);
-            let cold_sent = Arc::clone(&cold_sent);
-            let errors = Arc::clone(&errors);
-            scope.spawn(move || {
-                let mut rng = Rng::seed_from_u64(0xC0A1 + conn as u64);
-                let mut client = match Client::connect(addr) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("serve_bench: mixed connect failed: {e}");
-                        return;
-                    }
-                };
-                let base_us = time_limit.as_micros() as i64;
-                let mut done = 0usize;
-                while done < per_conn {
-                    let window = PIPELINE_WINDOW.min(per_conn - done);
-                    let mut sends = Vec::with_capacity(window);
-                    for k in 0..window {
-                        let cell = &cells[rng.gen_range(0..cells.len())];
-                        let cold = rng.gen_bool(MIXED_COLD_RATE);
-                        let limit_us = if cold {
-                            cold_sent.fetch_add(1, Ordering::Relaxed);
-                            // Unique fingerprint, materially same budget.
-                            base_us + 1 + unique.fetch_add(1, Ordering::Relaxed) as i64
-                        } else {
-                            base_us
-                        };
-                        let line = map_line(&format!("mx{conn}-{}", done + k), cell, limit_us);
-                        if client.send_line(&line).is_err() {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                        sends.push(Instant::now());
-                    }
-                    for sent_at in sends {
-                        match client.recv_response() {
-                            Ok(_) => all.lock().unwrap().push(sent_at.elapsed()),
-                            Err(e) if e.kind == cgra_serve::ErrorKind::Overloaded => {
-                                rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => {
-                                eprintln!("serve_bench: mixed request failed: {e}");
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    done += window;
-                }
-            });
-        }
-    });
-    let wall = wall_start.elapsed();
-    let mut latencies = Arc::try_unwrap(all)
-        .expect("mixed joined")
-        .into_inner()
-        .unwrap();
-    latencies.sort();
-    let completed = latencies.len();
-    obj(vec![
-        ("requests", Json::Int((per_conn * MIXED_CONNS) as i64)),
-        (
-            "cold_requests",
-            Json::Int(cold_sent.load(Ordering::Relaxed) as i64),
-        ),
-        ("completed", Json::Int(completed as i64)),
-        (
-            "rejected_overloaded",
-            Json::Int(rejected.load(Ordering::Relaxed) as i64),
-        ),
-        ("errors", Json::Int(errors.load(Ordering::Relaxed) as i64)),
-        (
-            "p50_ms",
-            Json::Float(percentile(&latencies, 0.50).as_secs_f64() * 1e3),
-        ),
-        (
-            "p99_ms",
-            Json::Float(percentile(&latencies, 0.99).as_secs_f64() * 1e3),
-        ),
-        ("wall_s", Json::Float(wall.as_secs_f64())),
-        (
-            "throughput_rps",
-            Json::Float(completed as f64 / wall.as_secs_f64().max(1e-9)),
-        ),
-    ])
-}
-
-/// K identical concurrent cold requests against a fresh single-worker
-/// service: counter-asserted to exactly one solve, identical bytes to
-/// every waiter.
-fn run_coalesce() -> (Json, Vec<String>) {
-    let mut failures = Vec::new();
-    let service = Service::start(ServiceConfig {
-        workers: 1,
-        deadline: None,
-        ..ServiceConfig::default()
-    });
-    let (addr, accept) =
-        server::spawn_tcp(Arc::clone(&service), "127.0.0.1:0").expect("bind ephemeral port");
-    let addr = addr.to_string();
-    // cos_4 at II=1 on homo-diag solves for seconds — a wide window for
-    // the followers to attach to the in-flight solve.
-    let cell = Cell {
-        label: "coalesce".into(),
-        dfg_text: cgra_dfg::text::print(&(benchmarks::by_name("cos_4")
-            .expect("cos_4 benchmark")
-            .build)()),
-        arch_text: cgra_arch::text::print(&paper_configs()[3].arch),
-        ii: 1,
-    };
-    let texts: Vec<String> = std::thread::scope(|scope| {
-        let cell = &cell;
-        let addr = addr.as_str();
-        let mut handles = Vec::new();
-        for i in 0..COALESCE_WAITERS {
-            handles.push(scope.spawn(move || {
-                if i > 0 {
-                    std::thread::sleep(Duration::from_millis(300));
-                }
-                let mut c = Client::connect(addr).expect("coalesce connection");
-                c.send_line(&map_line(&format!("co-{i}"), cell, 3_000_000))
-                    .expect("send");
-                c.recv_response().expect("coalesced response").result_text
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let identical = texts.windows(2).all(|w| w[0] == w[1]);
-    if !identical {
-        failures.push("coalesced waiters received differing bytes".to_owned());
-    }
-    let mut client = Client::connect(&addr).expect("stats connection");
-    let stats = client.stats().map(|r| r.result).unwrap_or(Json::Null);
-    let solves = stat_u64(&stats, "solves");
-    let coalesced = stat_u64(&stats, "coalesced");
-    let hits = stat_u64(&stats, "cache_hits");
-    if solves != 1 {
-        failures.push(format!(
-            "{COALESCE_WAITERS} identical concurrent requests triggered {solves} solves, expected 1"
-        ));
-    }
-    if coalesced + hits != (COALESCE_WAITERS - 1) as u64 {
-        failures.push(format!(
-            "coalesced ({coalesced}) + cache hits ({hits}) must cover the {} followers",
-            COALESCE_WAITERS - 1
-        ));
-    }
-    let _ = client.shutdown();
-    let _ = accept.join();
-    service.join_workers();
-    (
-        obj(vec![
-            ("waiters", Json::Int(COALESCE_WAITERS as i64)),
-            ("solves", Json::Int(solves as i64)),
-            ("coalesced", Json::Int(coalesced as i64)),
-            ("cache_hits", Json::Int(hits as i64)),
-            ("identical_bytes", Json::Bool(identical)),
-        ]),
-        failures,
-    )
-}
-
-/// Byte-identical replay across both cache tiers and a daemon restart:
-/// solve under a persistent cache dir, replay from memory, restart the
-/// whole service, replay from disk.
-fn run_restart(time_limit: Duration) -> (Json, Vec<String>) {
-    let mut failures = Vec::new();
-    let dir = std::env::temp_dir().join(format!("serve-bench-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create bench cache dir");
-
-    let cell = Cell {
-        label: "restart".into(),
-        dfg_text: cgra_dfg::text::print(&benchmarks::accum()),
-        arch_text: cgra_arch::text::print(&paper_configs()[3].arch),
-        ii: 1,
-    };
-    let limit_us = time_limit.as_micros() as i64;
-
-    let start_service = || {
-        let service = Service::start(ServiceConfig {
-            workers: 1,
-            cache_dir: Some(dir.clone()),
-            ..ServiceConfig::default()
-        });
-        let (addr, accept) =
-            server::spawn_tcp(Arc::clone(&service), "127.0.0.1:0").expect("bind ephemeral port");
-        (service, addr.to_string(), accept)
-    };
-
-    // Generation A: cold solve, then a memory-tier replay.
-    let (service_a, addr_a, accept_a) = start_service();
-    let mut client = Client::connect(&addr_a).expect("restart connection");
-    client
-        .send_line(&map_line("ra-cold", &cell, limit_us))
-        .expect("send");
-    let cold = client.recv_response().expect("cold solve");
-    client
-        .send_line(&map_line("ra-warm", &cell, limit_us))
-        .expect("send");
-    let warm = client.recv_response().expect("memory replay");
-    let memory_identical = warm.result_text == cold.result_text;
-    if !memory_identical {
-        failures.push("memory-tier replay not byte-identical".to_owned());
-    }
-    if !warm.served.as_ref().map(|sv| sv.cache_hit).unwrap_or(false) {
-        failures.push("memory-tier replay was not a cache hit".to_owned());
-    }
-    let _ = client.shutdown();
-    let _ = accept_a.join();
-    service_a.join_workers();
-
-    // Generation B: a fresh daemon on the same directory serves the
-    // same bytes from the disk tier.
-    let (service_b, addr_b, accept_b) = start_service();
-    let mut client = Client::connect(&addr_b).expect("restart connection");
-    client
-        .send_line(&map_line("rb-disk", &cell, limit_us))
-        .expect("send");
-    let replay = client.recv_response().expect("disk replay");
-    let disk_identical = replay.result_text == cold.result_text;
-    if !disk_identical {
-        failures.push("post-restart replay not byte-identical".to_owned());
-    }
-    if !replay
-        .served
-        .as_ref()
-        .map(|sv| sv.cache_hit)
-        .unwrap_or(false)
-    {
-        failures.push("post-restart replay was not a cache hit".to_owned());
-    }
-    let stats = client.stats().map(|r| r.result).unwrap_or(Json::Null);
-    let disk_hits = stat_u64(&stats, "cache_disk_hits");
-    if disk_hits == 0 {
-        failures.push("restart replay did not touch the disk tier".to_owned());
-    }
-    let _ = client.shutdown();
-    let _ = accept_b.join();
-    service_b.join_workers();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    (
-        obj(vec![
-            ("memory_replay_identical", Json::Bool(memory_identical)),
-            ("disk_replay_identical", Json::Bool(disk_identical)),
-            ("disk_hits", Json::Int(disk_hits as i64)),
-        ]),
-        failures,
-    )
-}
-
-/// Sharded-fleet phase: two shard daemons, no router — a shard-aware
-/// client uses `Client::send_routed`, which resolves one `wrong_shard`
-/// redirect per unknown architecture and caches the learned owner, so a
-/// second pass over the same fleet must cost zero further redirects and
-/// replay byte-identically.
-fn run_sharded(time_limit: Duration) -> (Json, Vec<String>) {
-    let mut failures = Vec::new();
-    let start = |index: u32| {
-        let service = Service::start(ServiceConfig {
-            workers: 1,
-            shards: 2,
-            shard_index: index,
-            ..ServiceConfig::default()
-        });
-        let (addr, accept) =
-            server::spawn_tcp(Arc::clone(&service), "127.0.0.1:0").expect("bind ephemeral port");
-        (service, addr.to_string(), accept)
-    };
-    let (svc0, addr0, accept0) = start(0);
-    let (svc1, addr1, accept1) = start(1);
-    let fleet = vec![addr0.clone(), addr1];
-
-    let kernel = cgra_dfg::text::print(&benchmarks::accum());
-    let archs: Vec<String> = paper_configs()
-        .iter()
-        .filter(|c| c.contexts == 1)
-        .map(|c| cgra_arch::text::print(&c.arch))
-        .collect();
-    let request = |i: usize, arch: &str| {
-        obj(vec![
-            ("id", s(format!("sh-{i}"))),
-            ("cmd", s("map")),
-            ("dfg", s(kernel.clone())),
-            ("arch", s(arch)),
-            ("ii", Json::Int(1)),
-            (
-                "options",
-                obj(vec![
-                    ("time_limit_us", Json::Int(time_limit.as_micros() as i64)),
-                    ("threads", Json::Int(1)),
-                ]),
-            ),
-        ])
-    };
-
-    let mut client = Client::connect(&fleet[0]).expect("fleet connection");
-    let mut first_pass = Vec::new();
-    for (i, arch) in archs.iter().enumerate() {
-        match client.send_routed(&fleet, &request(i, arch)) {
-            Ok(r) => first_pass.push(r.result_text),
-            Err(e) => failures.push(format!("sharded cell {i} failed: {e}")),
-        }
-    }
-    let redirects_first = client.routed_redirects();
-
-    // Second pass: learned routes, zero new redirects, identical bytes.
-    for (i, arch) in archs.iter().enumerate() {
-        match client.send_routed(&fleet, &request(i, arch)) {
-            Ok(r) => {
-                if first_pass.get(i).map(String::as_str) != Some(r.result_text.as_str()) {
-                    failures.push(format!("sharded cell {i} replay not byte-identical"));
-                }
-                if !r.served.map(|sv| sv.cache_hit).unwrap_or(false) {
-                    failures.push(format!("sharded cell {i} replay missed the cache"));
-                }
-            }
-            Err(e) => failures.push(format!("sharded cell {i} replay failed: {e}")),
-        }
-    }
-    let redirects_second = client.routed_redirects() - redirects_first;
-    if redirects_second != 0 {
-        failures.push(format!(
-            "second sharded pass should use learned routes, saw {redirects_second} redirects"
-        ));
-    }
-
-    for (svc, addr, accept) in [(svc0, &fleet[0], accept0), (svc1, &addr0, accept1)] {
-        let _ = addr;
-        svc.initiate_shutdown();
-        let _ = accept.join();
-        svc.join_workers();
-    }
-    (
-        obj(vec![
-            ("cells", Json::Int(archs.len() as i64)),
-            ("redirects_first_pass", Json::Int(redirects_first as i64)),
-            ("redirects_second_pass", Json::Int(redirects_second as i64)),
-        ]),
-        failures,
-    )
-}
-
-fn run_full(out_path: &str, time_limit: Duration) {
+/// The full mode: per worker count, a fresh service is primed with
+/// every cell, then measured under the warm storm.
+fn run_full(time_limit: Duration) {
     let cells = build_cells();
+    let expected = STORM_CONNS * STORM_PER_CONN;
     eprintln!(
-        "serve_bench: {} cells ({} kernels x 4 architectures), time limit {:?}",
+        "serve_bench: warm storm over {} cells ({} kernels x 4 architectures), \
+         {STORM_CONNS} connections x {STORM_PER_CONN} pipelined requests, time limit {:?}",
         cells.len(),
         KERNELS.len(),
         time_limit
     );
-    eprintln!("serve_bench: computing direct-mapper reference verdicts...");
-    let reference = reference_symbols(&cells, time_limit);
-
-    let mut runs = Vec::new();
-    let mut total_mismatches = 0usize;
-    let mut total_boundary = 0usize;
-    let mut headline_storm = 0.0f64;
+    let mut short = false;
     for workers in WORKER_COUNTS {
-        // No per-request deadline here: the whole matrix is enqueued at
-        // once, so queue wait would eat into solver budget and cancel
-        // tail requests. Admission deadlines are exercised by the
-        // service test suite, not the throughput benchmark.
+        // No per-request deadline: queue wait must not eat into the
+        // priming solves' budget.
         let service = Service::start(ServiceConfig {
             workers,
             queue_capacity: cells.len().max(16),
@@ -1006,182 +474,43 @@ fn run_full(out_path: &str, time_limit: Duration) {
             ..ServiceConfig::default()
         });
         let (addr, accept) =
-            server::spawn_tcp(Arc::clone(&service), "127.0.0.1:0").expect("bind ephemeral port");
+            server::spawn_tcp(Arc::clone(&service), "127.0.0.1:0").unwrap_or_else(|e| {
+                eprintln!("serve_bench: cannot start in-process server: {e}");
+                std::process::exit(1);
+            });
         let addr = addr.to_string();
-        let clients = (workers * 2).min(cells.len());
-
-        let cold = run_pass(&addr, &cells, clients, time_limit);
-        let warm = run_pass(&addr, &cells, clients, time_limit);
-        let (storm_completed, storm_wall) = run_warm_storm(&addr, &cells, time_limit);
-        let storm_rps = storm_completed as f64 / storm_wall.as_secs_f64().max(1e-9);
-        headline_storm = headline_storm.max(storm_rps);
-
-        // Every decided response — cold or warm — must agree with the
-        // direct mapper's verdict for the same inputs and options. A
-        // `T` on exactly one side is timeout-boundary drift (see the
-        // module docs), tallied per cell and tolerated.
-        let mut mismatches = Vec::new();
-        let mut boundary_cells: BTreeMap<String, usize> = BTreeMap::new();
-        for pass in [&cold, &warm] {
-            for &(index, symbol) in &pass.symbols {
-                if symbol == reference[index] {
-                    continue;
-                }
-                if symbol == "T" || reference[index] == "T" {
-                    *boundary_cells
-                        .entry(cells[index].label.clone())
-                        .or_default() += 1;
-                    eprintln!(
-                        "serve_bench: timeout boundary {}: service={} direct={}",
-                        cells[index].label, symbol, reference[index]
-                    );
-                } else {
-                    mismatches.push(format!(
-                        "{}: service={} direct={}",
-                        cells[index].label, symbol, reference[index]
-                    ));
-                }
+        let mut client = Client::connect(&addr).unwrap_or_else(|e| {
+            eprintln!("serve_bench: cannot connect to {addr}: {e}");
+            std::process::exit(1);
+        });
+        // Prime the cache: every cell pipelined on one connection, so
+        // the service solves up to `workers` of them at once.
+        for (i, cell) in cells.iter().enumerate() {
+            let line = map_line(&format!("prime-{i}"), cell, time_limit.as_micros() as i64);
+            if let Err(e) = client.send_line(&line) {
+                eprintln!("serve_bench: priming send failed: {e}");
+                std::process::exit(1);
             }
         }
-        let boundary: usize = boundary_cells.values().sum();
-        total_mismatches += mismatches.len();
-        total_boundary += boundary;
-        for m in &mismatches {
-            eprintln!("serve_bench: VERDICT MISMATCH {m}");
+        for cell in &cells {
+            if let Err(e) = client.recv_response() {
+                eprintln!("serve_bench: priming {} failed: {e}", cell.label);
+                std::process::exit(1);
+            }
         }
-
-        let warm_all_hits = warm.hits == warm.latencies.len();
-        eprintln!(
-            "serve_bench: workers={workers} cold {:>6.1} req/s  warm {:>6.1} req/s  storm {:>8.1} req/s (hits {}/{}){}",
-            cells.len() as f64 / cold.wall.as_secs_f64(),
-            cells.len() as f64 / warm.wall.as_secs_f64(),
-            storm_rps,
-            warm.hits,
-            warm.latencies.len(),
-            if mismatches.is_empty() {
-                ""
-            } else {
-                "  MISMATCHES"
-            },
+        let (completed, wall) = run_warm_storm(&addr, &cells, time_limit);
+        println!(
+            "workers={workers} warm storm: {completed}/{expected} responses in {:.3}s, {:.1} req/s",
+            wall.as_secs_f64(),
+            completed as f64 / wall.as_secs_f64().max(1e-9)
         );
-
-        let mut client = Client::connect(&addr).expect("stats connection");
-        let counters = client.stats().map(|r| r.result).unwrap_or(Json::Null);
+        short |= completed < expected;
         let _ = client.shutdown();
         let _ = accept.join();
         service.join_workers();
-
-        runs.push(obj(vec![
-            ("workers", Json::Int(workers as i64)),
-            ("clients", Json::Int(clients as i64)),
-            ("cold", pass_json(&cold, cells.len())),
-            ("warm", pass_json(&warm, cells.len())),
-            (
-                "warm_storm",
-                obj(vec![
-                    ("connections", Json::Int(STORM_CONNS as i64)),
-                    ("completed", Json::Int(storm_completed as i64)),
-                    ("expected", Json::Int((STORM_CONNS * STORM_PER_CONN) as i64)),
-                    ("wall_s", Json::Float(storm_wall.as_secs_f64())),
-                    ("throughput_rps", Json::Float(storm_rps)),
-                ]),
-            ),
-            ("warm_all_cache_hits", Json::Bool(warm_all_hits)),
-            ("verdict_mismatches", Json::Int(mismatches.len() as i64)),
-            ("timeout_boundary", Json::Int(boundary as i64)),
-            (
-                "timeout_boundary_cells",
-                Json::Object(
-                    boundary_cells
-                        .into_iter()
-                        .map(|(label, n)| (label, Json::Int(n as i64)))
-                        .collect(),
-                ),
-            ),
-            ("counters", counters),
-        ]));
     }
-
-    // Service-level phases, once each on fresh daemons.
-    eprintln!("serve_bench: mixed hot/cold sweep ({MIXED_REQUESTS} requests)...");
-    let mixed = {
-        let service = Service::start(ServiceConfig {
-            workers: 2,
-            deadline: None,
-            ..ServiceConfig::default()
-        });
-        let (addr, accept) =
-            server::spawn_tcp(Arc::clone(&service), "127.0.0.1:0").expect("bind ephemeral port");
-        let addr = addr.to_string();
-        // Prime every cell so the hot fraction is genuinely hot.
-        let _ = run_pass(&addr, &cells, 2, time_limit);
-        let mixed = run_mixed(&addr, &cells, time_limit);
-        let mut client = Client::connect(&addr).expect("stats connection");
-        let _ = client.shutdown();
-        let _ = accept.join();
-        service.join_workers();
-        mixed
-    };
-
-    eprintln!("serve_bench: coalescing assertion ({COALESCE_WAITERS} identical waiters)...");
-    let (coalesce, coalesce_failures) = run_coalesce();
-    for f in &coalesce_failures {
-        eprintln!("serve_bench: COALESCE FAIL: {f}");
-    }
-
-    eprintln!("serve_bench: restart persistence (two-tier replay)...");
-    let (restart, restart_failures) = run_restart(time_limit);
-    for f in &restart_failures {
-        eprintln!("serve_bench: RESTART FAIL: {f}");
-    }
-
-    eprintln!("serve_bench: sharded fleet (redirect-learning client)...");
-    let (sharded, sharded_failures) = run_sharded(time_limit);
-    for f in &sharded_failures {
-        eprintln!("serve_bench: SHARDED FAIL: {f}");
-    }
-
-    let doc = obj(vec![
-        ("benchmark", s("serve")),
-        (
-            "description",
-            s(
-                "cgra-serve end-to-end over TCP: cold/warm/pipelined-storm passes per worker \
-               count, mixed hot-cold SLO sweep, coalescing and restart-persistence assertions",
-            ),
-        ),
-        ("host_cores", Json::Int(cgra_par::default_jobs(1) as i64)),
-        ("time_limit_s", Json::Int(time_limit.as_secs() as i64)),
-        (
-            "cells",
-            Json::Array(cells.iter().map(|c| s(c.label.clone())).collect()),
-        ),
-        (
-            "reference_verdicts",
-            Json::Array(reference.iter().map(|v| s(*v)).collect()),
-        ),
-        ("runs", Json::Array(runs)),
-        ("mixed", mixed),
-        ("coalesce", coalesce),
-        ("restart", restart),
-        ("sharded", sharded),
-        ("headline_warm_storm_rps", Json::Float(headline_storm)),
-        (
-            "total_verdict_mismatches",
-            Json::Int(total_mismatches as i64),
-        ),
-        ("total_timeout_boundary", Json::Int(total_boundary as i64)),
-    ]);
-    std::fs::write(out_path, format!("{doc}\n")).unwrap_or_else(|e| {
-        eprintln!("serve_bench: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("serve_bench: wrote {out_path}");
-    if total_mismatches > 0
-        || !coalesce_failures.is_empty()
-        || !restart_failures.is_empty()
-        || !sharded_failures.is_empty()
-    {
+    if short {
+        eprintln!("serve_bench: a warm storm lost responses");
         std::process::exit(1);
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release --example mapper_shootout [benchmark] [--threads N]`
 //!
-//! `--threads N` (or `BILP_THREADS`) gives the ILP mapper a portfolio of
-//! N racing engines; the annealing baseline stays single-threaded.
+//! `--threads N` gives the ILP mapper a portfolio of N racing engines;
+//! the annealing baseline stays single-threaded.
 
 use cgra::arch::families::paper_configs;
 use cgra::mapper::{AnnealParams, AnnealingMapper, IlpMapper, MapperOptions};
@@ -15,7 +15,7 @@ use std::time::Duration;
 
 fn main() {
     let mut name = String::from("exp_5");
-    let mut threads = bilp::threads_from_env().unwrap_or(1);
+    let mut threads = 1;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

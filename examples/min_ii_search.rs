@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --release --example min_ii_search [benchmark] [--threads N]`
 //!
-//! `--threads N` (or the `BILP_THREADS` environment variable) races N
-//! diversified solver engines per II attempt; verdicts are identical to
-//! the sequential run, usually sooner.
+//! `--threads N` races N diversified solver engines per II attempt;
+//! verdicts are identical to the sequential run, usually sooner.
 
 use cgra::arch::families::{grid, FuMix, GridParams, Interconnect};
 use cgra::mapper::{map_min_ii, MapperOptions};
@@ -14,7 +13,7 @@ use std::time::Duration;
 
 fn main() {
     let mut name = String::from("cos_4");
-    let mut threads = bilp::threads_from_env().unwrap_or(1);
+    let mut threads = 1;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
