@@ -36,7 +36,8 @@ use std::time::{Duration, Instant};
 /// probe publishes is re-validated against the model and, if valid,
 /// becomes a shared incumbent whose objective value bounds every engine
 /// mid-solve. With `threads = 1` a single synchronous probe attempt
-/// comes before search starts.
+/// comes before search starts, and a valid candidate also becomes the
+/// engine's preferred phases.
 ///
 /// Probes are **advisory only**: an invalid candidate is discarded (the
 /// solver never trusts one unchecked), and a probe can never cause an
@@ -45,13 +46,15 @@ use std::time::{Duration, Instant};
 pub trait HeuristicProbe: Send + Sync {
     /// Runs one probe attempt. `seed` diversifies randomized heuristics
     /// (each attempt receives a distinct value); implementations should
-    /// poll `stop` and bail out early once it is set.
+    /// poll `stop` and bail out early once it is set. `stop` is set when
+    /// the query is decided or the solver is interrupted (see
+    /// [`IncrementalSolver::set_interrupt`]).
     ///
     /// Returns a *candidate* assignment over the model's variables
     /// (`values[i]` is the value of variable `i`), or `None` when this
     /// source has nothing more to offer — a probe worker thread stops
     /// permanently on `None`.
-    fn probe(&self, seed: u64, stop: &AtomicBool) -> Option<Vec<bool>>;
+    fn probe(&self, seed: u64, stop: &Arc<AtomicBool>) -> Option<Vec<bool>>;
 }
 
 /// Where the solution backing an outcome was first discovered.
@@ -437,7 +440,7 @@ struct ReducedProbe<'a> {
 }
 
 impl HeuristicProbe for ReducedProbe<'_> {
-    fn probe(&self, seed: u64, stop: &AtomicBool) -> Option<Vec<bool>> {
+    fn probe(&self, seed: u64, stop: &Arc<AtomicBool>) -> Option<Vec<bool>> {
         let original = self.inner.probe(seed, stop)?;
         let Some(recon) = self.recon else {
             return Some(original);
@@ -1061,11 +1064,13 @@ impl<'p> IncrementalSolver<'p> {
     /// racing the exact engines (see [`HeuristicProbe`]). With several
     /// engines, `config.probe_workers` probe threads (at least one) race
     /// them during every query without assumptions. With one engine, the
-    /// probe gets one synchronous attempt before the first such query.
-    /// Either way a validated candidate that answers the query on its
-    /// own (a feasibility query's solution, or an incumbent at the
-    /// objective stop) is the answer, and any other seeds the descent;
-    /// verdicts and optima are never affected.
+    /// probe gets one synchronous attempt before the first such query,
+    /// and a validated candidate also sets the engine's preferred
+    /// phases, so later searches start from it. Either way a validated
+    /// candidate that answers the query on its own (a feasibility
+    /// query's solution, or an incumbent at the objective stop) is the
+    /// answer, and any other seeds the descent; verdicts and optima are
+    /// never affected.
     pub fn with_probe(model: &Model, config: SolverConfig, probe: &'p dyn HeuristicProbe) -> Self {
         Self::build(model, config, Some(probe))
     }
@@ -1208,51 +1213,6 @@ impl<'p> IncrementalSolver<'p> {
         self.query(false, assumptions)
     }
 
-    /// Seeds the descent's incumbent from a heuristic solution, given as
-    /// a complete assignment over the **original** model's variables
-    /// (`values[i]` is the value of variable `i`).
-    ///
-    /// The assignment is translated through presolve's reconstruction
-    /// and re-validated against the model it must satisfy; candidates
-    /// that are the wrong length, contradict an entailed presolve
-    /// fixing, or violate any constraint are rejected and leave the
-    /// solver untouched. An accepted seed means the next
-    /// [`optimize`](IncrementalSolver::optimize) descends from a real
-    /// incumbent — its first bound probe is already strictly below the
-    /// heuristic solution — and
-    /// [`SolveStats::incumbent_source`] reports
-    /// [`IncumbentSource::Heuristic`] if no solver-found solution
-    /// supersedes it. Verdicts are unaffected either way.
-    ///
-    /// Returns whether the seed was accepted (valid *and* improving on
-    /// the current incumbent, if any).
-    pub fn seed_incumbent(&mut self, values: &[bool]) -> bool {
-        let Some(inner) = self.inner.as_mut() else {
-            return false;
-        };
-        let reduced_values = match &inner.reconstruction {
-            None => values.to_vec(),
-            Some(recon) => match recon.restrict(values, inner.reduced.num_vars()) {
-                Some(v) => v,
-                None => return false,
-            },
-        };
-        let Some((solution, objective)) = validate(&inner.reduced, reduced_values) else {
-            return false;
-        };
-        let mut accepted = false;
-        for descent in inner.engines.iter_mut().flatten() {
-            accepted |= descent.seed(solution.clone(), objective, IncumbentSource::Heuristic);
-        }
-        if let Some(race) = &inner.race {
-            accepted |= race.offer(&solution, objective, IncumbentSource::Heuristic);
-        }
-        if accepted {
-            self.stats.probe_incumbents += 1;
-        }
-        accepted
-    }
-
     /// The one query path: answers, certifies an `Infeasible` answer and
     /// charges the time, replay included, to the statistics.
     fn query(&mut self, optimize: bool, assumptions: &[Lit]) -> Outcome {
@@ -1376,6 +1336,7 @@ impl<'p> IncrementalSolver<'p> {
                     q,
                     probe,
                     &self.config,
+                    self.interrupt.as_ref(),
                     &mut self.stats,
                 )
             }
@@ -1415,6 +1376,7 @@ impl<'p> IncrementalSolver<'p> {
                             q,
                             probe,
                             config,
+                            self.interrupt.as_ref(),
                             &mut self.stats,
                         );
                         self.detached.engine += fresh.engine.stats();
@@ -1510,22 +1472,27 @@ impl<'p> IncrementalSolver<'p> {
 }
 
 /// Answers `q` on one descent on the calling thread. A supplied probe
-/// first gets one synchronous attempt: a validated candidate that
-/// settles the query is the answer, any other seeds the descent.
+/// first gets one synchronous attempt, which `interrupt` cancels. A
+/// validated candidate becomes the engine's preferred phases and the
+/// descent's incumbent, and it is the answer when it settles the query.
 fn sequential(
     descent: &mut Descent,
     model: &Model,
     q: &Query,
     probe: Option<&dyn HeuristicProbe>,
     config: &SolverConfig,
+    interrupt: Option<&Arc<AtomicBool>>,
     stats: &mut SolveStats,
 ) -> (Outcome, Vec<Lit>) {
     if let Some(p) = probe {
         stats.probe_workers = 1;
-        let stop = AtomicBool::new(false);
+        let stop = interrupt.cloned().unwrap_or_default();
         if let Some((solution, val)) = p.probe(config.seed, &stop).and_then(|v| validate(model, v))
         {
             stats.probe_incumbents += 1;
+            for (i, &value) in solution.values.iter().enumerate() {
+                descent.engine.set_branch_hint(Var(i as u32), 0.0, value);
+            }
             descent.seed(solution.clone(), val, IncumbentSource::Heuristic);
             let out = Outcome::found(model, solution, val);
             if q.settles(&out) {

@@ -10,6 +10,7 @@ use bilp::{
     Certificate, HeuristicProbe, IncrementalSolver, LinExpr, Model, Outcome, Solver, SolverConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn pigeonhole(pigeons: usize, holes: usize) -> Model {
     let mut m = Model::new();
@@ -154,7 +155,7 @@ struct GarbageHose {
 }
 
 impl HeuristicProbe for GarbageHose {
-    fn probe(&self, seed: u64, _stop: &AtomicBool) -> Option<Vec<bool>> {
+    fn probe(&self, seed: u64, _stop: &Arc<AtomicBool>) -> Option<Vec<bool>> {
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         let mut x = seed.wrapping_add(call).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         let mut next = || {

@@ -8,7 +8,7 @@
 // Column-index loops over 2-D incidence structures read clearest as-is.
 #![allow(clippy::needless_range_loop)]
 
-use bilp::{IncrementalSolver, Model, Outcome, Solver, SolverConfig};
+use bilp::{HeuristicProbe, IncrementalSolver, Model, Outcome, Solver, SolverConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -146,4 +146,43 @@ fn uninterrupted_solver_still_decides() {
     let mut solver = Solver::new();
     solver.set_interrupt(flag);
     assert_eq!(solver.solve(&m), Outcome::Infeasible);
+}
+
+/// A probe that finds nothing: it spins until `stop` is set, or for 5 s.
+struct Spinner;
+
+impl HeuristicProbe for Spinner {
+    fn probe(&self, _seed: u64, stop: &Arc<AtomicBool>) -> Option<Vec<bool>> {
+        let start = Instant::now();
+        while !stop.load(Ordering::Relaxed) && start.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        None
+    }
+}
+
+#[test]
+fn interrupt_reaches_a_one_engine_probe() {
+    // One engine runs its probe on the calling thread before searching.
+    // The probe must see the interrupt, or the query waits out its spin.
+    let m = pigeonhole(12);
+    let flag = Arc::new(AtomicBool::new(false));
+    let canceller = {
+        let flag = Arc::clone(&flag);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            flag.store(true, Ordering::SeqCst);
+        })
+    };
+    let mut solver = IncrementalSolver::with_probe(&m, SolverConfig::default(), &Spinner);
+    solver.set_interrupt(Arc::clone(&flag));
+    let start = Instant::now();
+    let out = solver.solve_feasible();
+    canceller.join().unwrap();
+    assert_eq!(out, Outcome::Unknown);
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "the probe ignored the interrupt for {:?}",
+        start.elapsed()
+    );
 }

@@ -3,11 +3,9 @@
 //! proven optima, at every thread count, while valid probes do publish
 //! incumbents and the attribution counters tell the truth.
 
-use bilp::{
-    HeuristicProbe, IncrementalSolver, IncumbentSource, LinExpr, Model, Outcome, Solver,
-    SolverConfig,
-};
+use bilp::{HeuristicProbe, IncumbentSource, LinExpr, Model, Outcome, Solver, SolverConfig};
 use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// n+1 pigeons into n holes: UNSAT.
@@ -38,7 +36,7 @@ fn cycle_cover(n: usize) -> Model {
 struct Fixed(Vec<bool>);
 
 impl HeuristicProbe for Fixed {
-    fn probe(&self, _seed: u64, _stop: &AtomicBool) -> Option<Vec<bool>> {
+    fn probe(&self, _seed: u64, _stop: &Arc<AtomicBool>) -> Option<Vec<bool>> {
         Some(self.0.clone())
     }
 }
@@ -155,30 +153,6 @@ fn optimal_seed_keeps_heuristic_attribution() {
     assert_eq!(stats.incumbent_source, Some(IncumbentSource::Heuristic));
 }
 
-/// `IncrementalSolver::seed_incumbent` accepts exactly the valid,
-/// improving candidates and rejects the rest without touching state.
-#[test]
-fn incremental_seed_incumbent_validates() {
-    let m = cycle_cover(9);
-    let mut inc = IncrementalSolver::new(&m, SolverConfig::default());
-    assert!(!inc.seed_incumbent(&[true; 4]), "wrong length");
-    assert!(!inc.seed_incumbent(&[false; 9]), "violates every clause");
-    assert!(inc.seed_incumbent(&[true; 9]), "valid cover of 9");
-    // A second, better seed improves; an equal-or-worse one is refused.
-    let five: Vec<bool> = (0..9).map(|i| i % 2 == 0).collect();
-    assert!(inc.seed_incumbent(&five));
-    assert!(!inc.seed_incumbent(&[true; 9]), "worse than incumbent");
-    assert_eq!(inc.stats().probe_incumbents, 2);
-    let first = inc.solve_feasible();
-    assert!(first.solution().is_some());
-    let out = inc.optimize();
-    assert_eq!(out.objective(), Some(5));
-    assert_eq!(
-        inc.stats().incumbent_source,
-        Some(IncumbentSource::Heuristic)
-    );
-}
-
 /// Racing probe workers in the portfolio never change the verdict, and
 /// the deadline still binds with probes attached.
 #[test]
@@ -208,7 +182,7 @@ fn portfolio_with_probe_respects_deadline_and_verdict() {
 fn retiring_probe_leaves_cdcl_workers_to_decide() {
     struct Retire;
     impl HeuristicProbe for Retire {
-        fn probe(&self, _seed: u64, _stop: &AtomicBool) -> Option<Vec<bool>> {
+        fn probe(&self, _seed: u64, _stop: &Arc<AtomicBool>) -> Option<Vec<bool>> {
             None
         }
     }

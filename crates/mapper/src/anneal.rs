@@ -28,6 +28,8 @@ use cgra_dfg::{Dfg, EdgeId, OpId};
 use cgra_mrrg::{Mrrg, NodeId, NodeKind};
 use cgra_rng::Rng;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Annealing schedule parameters ("moderate parameters", paper Section 5).
@@ -77,6 +79,9 @@ impl Default for AnnealParams {
 pub struct AnnealingMapper {
     options: MapperOptions,
     params: AnnealParams,
+    /// External cooperative-cancellation flag (see
+    /// [`AnnealingMapper::with_interrupt`]).
+    interrupt: Option<Arc<AtomicBool>>,
 }
 
 /// Routing occupancy bookkeeping: per node, which values use it, how many
@@ -308,7 +313,20 @@ impl<'a> State<'a> {
 impl AnnealingMapper {
     /// Creates an annealing mapper.
     pub fn new(options: MapperOptions, params: AnnealParams) -> Self {
-        AnnealingMapper { options, params }
+        AnnealingMapper {
+            options,
+            params,
+            interrupt: None,
+        }
+    }
+
+    /// Returns this mapper with an external cooperative-cancellation
+    /// flag installed: once another thread sets it, the anneal in
+    /// flight gives up at its next move, exactly as when its
+    /// [`MapperOptions::time_limit`] expires.
+    pub fn with_interrupt(mut self, flag: Arc<AtomicBool>) -> Self {
+        self.interrupt = Some(flag);
+        self
     }
 
     /// The schedule parameters.
@@ -394,17 +412,19 @@ impl AnnealingMapper {
                         return report;
                     }
                 }
-                if let Some(limit) = self.options.time_limit {
-                    if start.elapsed() >= limit {
-                        return MapReport {
-                            outcome: MapOutcome::Timeout,
-                            elapsed: start.elapsed(),
-                            formulation: Default::default(),
-                            solver: Default::default(),
-                            infeasible_core: None,
-                            certificate: None,
-                        };
-                    }
+                let limit = self.options.time_limit;
+                let flag = self.interrupt.as_deref();
+                if limit.is_some_and(|l| start.elapsed() >= l)
+                    || flag.is_some_and(|f| f.load(Ordering::Relaxed))
+                {
+                    return MapReport {
+                        outcome: MapOutcome::Timeout,
+                        elapsed: start.elapsed(),
+                        formulation: Default::default(),
+                        solver: Default::default(),
+                        infeasible_core: None,
+                        certificate: None,
+                    };
                 }
 
                 // Propose: move a random op to a random compatible slot.

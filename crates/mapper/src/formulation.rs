@@ -738,56 +738,10 @@ impl Formulation {
             .collect()
     }
 
-    /// Registers a known-good mapping as solver branch hints (a MIP
-    /// start): the variables the mapping sets are decided first and
-    /// positively, so the solver reconstructs the solution immediately and
-    /// then, when optimising, improves on it. Hints never change verdicts.
-    pub fn warm_start(&mut self, dfg: &Dfg, mapping: &Mapping) {
-        // Hints are applied in sorted order: each one bumps a VSIDS
-        // activity, and the decision heap arranges *equal* activities by
-        // bump order, so iterating the mapping's hash maps directly would
-        // leak run-to-run nondeterminism into the search trajectory.
-        let mut placements: Vec<(OpId, NodeId)> =
-            mapping.placement.iter().map(|(q, p)| (*q, *p)).collect();
-        placements.sort_unstable();
-        for (q, p) in placements {
-            if let Some(&v) = self.f.get(&(p, q)) {
-                self.model.suggest_branch(v, 3.0, true);
-            }
-        }
-        let mut routes: Vec<(EdgeId, Vec<NodeId>)> = mapping
-            .routes
-            .iter()
-            .map(|(e, path)| {
-                let mut path = path.clone();
-                path.sort_unstable();
-                (*e, path)
-            })
-            .collect();
-        routes.sort_unstable_by_key(|&(e, _)| e);
-        for (e, path) in routes {
-            let j = dfg.edges()[e.index()].src;
-            for i in path {
-                if let Some(&v) = self.rs.get(&(e, i)) {
-                    self.model.suggest_branch(v, 2.0, true);
-                }
-                if let Some(&v) = self.r.get(&(i, j)) {
-                    self.model.suggest_branch(v, 2.0, true);
-                }
-            }
-        }
-        let mut swaps: Vec<(OpId, Var)> = self.swap.iter().map(|(q, s)| (*q, *s)).collect();
-        swaps.sort_unstable_by_key(|&(q, _)| q);
-        for (q, s) in swaps {
-            let swapped = mapping.swapped.contains(&q);
-            self.model.suggest_branch(s, 2.0, swapped);
-        }
-    }
-
     /// Encodes a mapping as a dense assignment over this formulation's
     /// variables — the inverse of [`Formulation::decode`], used to hand
-    /// heuristic mappings to the solver as candidate *incumbents* (not
-    /// just branch hints). Returns `None` when the mapping uses a
+    /// the annealing probe's mappings to the solver as candidate
+    /// incumbents. Returns `None` when the mapping uses a
     /// placement or routing node the (possibly reachability-reduced)
     /// formulation has no variable for. The returned vector is **not**
     /// guaranteed to satisfy the model — callers must gate it behind

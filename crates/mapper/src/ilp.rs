@@ -182,22 +182,8 @@ impl IlpMapper {
     /// Panics if the solver returns a solution that fails validation —
     /// that would be a bug in the formulation, never an input property.
     pub fn map(&self, dfg: &Dfg, mrrg: &Mrrg) -> MapReport {
-        self.map_with_hint(dfg, mrrg, None)
-    }
-
-    /// Maps `dfg` onto `mrrg`, seeding the solver from a known mapping.
-    ///
-    /// The hint is registered as branch hints (a MIP start) exactly like a
-    /// warm-start portfolio result, so the solver reconstructs it first and
-    /// then improves on it; verdicts are unaffected. When a hint is given
-    /// the simulated-annealing portfolio is skipped — the caller already
-    /// has something better than what the portfolio would look for. Hints
-    /// referencing slots or nodes outside this MRRG's candidate sets are
-    /// silently ignored per variable, so a mapping translated from a
-    /// different II is acceptable.
-    pub fn map_with_hint(&self, dfg: &Dfg, mrrg: &Mrrg, hint: Option<&Mapping>) -> MapReport {
         let start = Instant::now();
-        let mut formulation = match Formulation::build(dfg, mrrg, self.options) {
+        let formulation = match Formulation::build(dfg, mrrg, self.options) {
             Ok(f) => f,
             Err(reason) => {
                 return MapReport {
@@ -213,15 +199,7 @@ impl IlpMapper {
             }
         };
         let stats = formulation.stats();
-
-        if let Some(mapping) = hint {
-            formulation.warm_start(dfg, mapping);
-        } else if self.options.warm_start {
-            if let Some(mapping) = self.warm_start_mapping(dfg, mrrg, start) {
-                formulation.warm_start(dfg, &mapping);
-            }
-        }
-        let (out, solver_stats, certificate) = self.solve(dfg, mrrg, &mut formulation, start);
+        let (out, solver_stats, certificate) = self.solve(dfg, mrrg, &formulation, start);
         let outcome = self.decode_outcome(dfg, mrrg, &formulation, out);
         let infeasible_core = if self.options.explain_infeasible
             && matches!(outcome, MapOutcome::Infeasible { .. })
@@ -271,46 +249,39 @@ impl IlpMapper {
     /// activities carry over, and the feasible solution seeds the first
     /// objective bound.
     ///
-    /// Only probe delivery depends on the width
-    /// ([`MapperOptions::seed_probes`]). With one engine, inline probes
-    /// run first and a mapping they find enters twice: as warm-start
-    /// branch hints and as the descent's first incumbent. With several,
-    /// an [`AnnealProbe`] races the engines, and its validated mappings
-    /// become shared incumbents that bound every engine mid-solve.
+    /// With [`MapperOptions::warm_start`] or
+    /// [`MapperOptions::seed_probes`] set, an [`AnnealProbe`] is the
+    /// solver's heuristic incumbent source, at every width: the solver
+    /// validates each mapping it offers before using it.
     fn solve(
         &self,
         dfg: &Dfg,
         mrrg: &Mrrg,
-        formulation: &mut Formulation,
+        formulation: &Formulation,
         start: Instant,
     ) -> (Outcome, SolveStats, Option<Certificate>) {
-        let racing = self.solver_config(start).effective_threads() > 1;
-        let probes = self.options.seed_probes > 0;
-        let seed = if probes && !racing {
-            self.inline_probe(dfg, mrrg, formulation, start)
-        } else {
-            None
+        // The probe's one window: 45% of what is left of the limit, the
+        // share the slowest first mappings of Table 2 and Fig 8 need
+        // (EXPERIMENTS.md E2).
+        let window = match self.options.time_limit {
+            Some(limit) => limit.saturating_sub(start.elapsed()).mul_f64(0.45),
+            None => Duration::from_secs(30),
         };
-        if let Some((mapping, _)) = &seed {
-            formulation.warm_start(dfg, mapping);
-        }
-        let probe = (probes && racing).then(|| AnnealProbe {
+        let probe = AnnealProbe {
             dfg,
             mrrg,
             formulation,
             options: self.options,
-            deadline: Instant::now() + self.probe_budget(start),
-        });
+            deadline: Instant::now() + window,
+        };
         let config = self.solver_config(start);
-        let mut inc = match &probe {
-            Some(p) => IncrementalSolver::with_probe(formulation.model(), config, p),
-            None => IncrementalSolver::new(formulation.model(), config),
+        let mut inc = if self.options.warm_start || self.options.seed_probes > 0 {
+            IncrementalSolver::with_probe(formulation.model(), config, &probe)
+        } else {
+            IncrementalSolver::new(formulation.model(), config)
         };
         if let Some(flag) = &self.interrupt {
             inc.set_interrupt(Arc::clone(flag));
-        }
-        if let Some((_, values)) = &seed {
-            inc.seed_incumbent(values);
         }
         let first = inc.solve_feasible();
         let out = if self.options.optimize && first.solution().is_some() {
@@ -360,87 +331,10 @@ impl IlpMapper {
             optimal,
         }
     }
-
-    /// A short simulated-annealing portfolio whose mapping becomes branch
-    /// hints: up to 45% of the remaining time limit (30 s when
-    /// unlimited), in attempts of at most 10 s; skipped when an attempt
-    /// would get under 50 ms.
-    fn warm_start_mapping(&self, dfg: &Dfg, mrrg: &Mrrg, start: Instant) -> Option<Mapping> {
-        let total = match self.options.time_limit {
-            Some(limit) => limit.saturating_sub(start.elapsed()).mul_f64(0.45),
-            None => Duration::from_secs(30),
-        };
-        let slice = Duration::from_secs(10).min(total);
-        if slice < Duration::from_millis(50) {
-            return None;
-        }
-        AnnealAttempts {
-            params: WARM_START_PARAMS,
-            seed: self.options.seed,
-            stride: 1,
-            attempts: u64::MAX,
-            slice,
-            deadline: Instant::now() + total,
-        }
-        .run(dfg, mrrg, self.options, self.interrupt.as_deref(), Some)
-    }
-
-    /// The wall-clock budget for heuristic seeding probes:
-    /// [`MapperOptions::probe_budget`] verbatim when set, otherwise 10%
-    /// of the remaining time limit clamped to [100 ms, 2 s] — or 1 s
-    /// when the attempt is unlimited. Deliberately small: probes exist
-    /// to hand the exact solver an early incumbent, not to compete with
-    /// it for the budget.
-    fn probe_budget(&self, start: Instant) -> Duration {
-        if let Some(budget) = self.options.probe_budget {
-            return budget;
-        }
-        match self.options.time_limit {
-            Some(limit) => limit
-                .saturating_sub(start.elapsed())
-                .mul_f64(0.10)
-                .clamp(Duration::from_millis(100), Duration::from_secs(2)),
-            None => Duration::from_secs(1),
-        }
-    }
-
-    /// Runs up to [`MapperOptions::seed_probes`] probe attempts inline,
-    /// splitting the probe budget evenly, and returns the first mapping
-    /// the formulation can encode, with its dense assignment over the
-    /// formulation's variables.
-    fn inline_probe(
-        &self,
-        dfg: &Dfg,
-        mrrg: &Mrrg,
-        formulation: &Formulation,
-        start: Instant,
-    ) -> Option<(Mapping, Vec<bool>)> {
-        let budget = self.probe_budget(start);
-        let attempts = self.options.seed_probes as u64;
-        AnnealAttempts {
-            params: PROBE_PARAMS,
-            seed: self.options.seed,
-            stride: 1,
-            attempts,
-            slice: budget / u32::try_from(attempts).unwrap_or(u32::MAX).max(1),
-            deadline: Instant::now() + budget,
-        }
-        .run(
-            dfg,
-            mrrg,
-            self.options,
-            self.interrupt.as_deref(),
-            |mapping| {
-                formulation
-                    .encode(dfg, &mapping)
-                    .map(|values| (mapping, values))
-            },
-        )
-    }
 }
 
-/// Annealing schedule for the warm-start portfolio.
-const WARM_START_PARAMS: AnnealParams = AnnealParams {
+/// The probe's annealing schedule.
+const ANNEAL_PARAMS: AnnealParams = AnnealParams {
     outer_iterations: 400,
     moves_per_temperature: 400,
     initial_temperature: 10.0,
@@ -448,74 +342,14 @@ const WARM_START_PARAMS: AnnealParams = AnnealParams {
     congestion_growth: 0.15,
 };
 
-/// Annealing schedule for seeding probes — much lighter than the
-/// warm-start portfolio's: probes race the exact solver, so a fast
-/// mediocre mapping beats a slow good one.
-const PROBE_PARAMS: AnnealParams = AnnealParams {
-    outer_iterations: 120,
-    moves_per_temperature: 200,
-    initial_temperature: 5.0,
-    cooling: 0.9,
-    congestion_growth: 0.25,
-};
+/// The longest one annealing attempt runs before the probe re-seeds.
+const ATTEMPT_CAP: Duration = Duration::from_secs(10);
 
-/// The one annealing loop behind warm start, inline probes and
-/// [`AnnealProbe`]: attempt `k` anneals under `params` with seed
-/// `seed + k * stride` for `slice`, clamped to the time left before
-/// `deadline`.
-#[derive(Debug)]
-struct AnnealAttempts {
-    params: AnnealParams,
-    seed: u64,
-    stride: u64,
-    attempts: u64,
-    slice: Duration,
-    deadline: Instant,
-}
-
-impl AnnealAttempts {
-    /// Runs the attempts in order and returns the first mapping `accept`
-    /// turns into a value. Stops when `stop` is set (the annealer itself
-    /// cannot be interrupted, so it is polled between attempts), when
-    /// the attempts run out, or when less than 5 ms is left.
-    fn run<T>(
-        &self,
-        dfg: &Dfg,
-        mrrg: &Mrrg,
-        options: MapperOptions,
-        stop: Option<&AtomicBool>,
-        mut accept: impl FnMut(Mapping) -> Option<T>,
-    ) -> Option<T> {
-        for k in 0..self.attempts {
-            let slice = self
-                .slice
-                .min(self.deadline.saturating_duration_since(Instant::now()));
-            if slice < Duration::from_millis(5) || stop.is_some_and(|f| f.load(Ordering::Relaxed)) {
-                break;
-            }
-            let mapper = AnnealingMapper::new(
-                MapperOptions {
-                    seed: self.seed.wrapping_add(k.wrapping_mul(self.stride)),
-                    time_limit: Some(slice),
-                    ..options
-                },
-                self.params,
-            );
-            if let MapOutcome::Mapped { mapping, .. } = mapper.map(dfg, mrrg).outcome {
-                if let Some(found) = accept(mapping) {
-                    return Some(found);
-                }
-            }
-        }
-        None
-    }
-}
-
-/// A racing probe source for several engines: each `probe` call runs
-/// probe attempts of at most 250 ms under the diversified seed until one
-/// produces an encodable mapping or the probe deadline passes (`None`
-/// then retires the probe worker; the CDCL workers keep the full time
-/// budget).
+/// The annealer's one route into the exact solver. Each `probe` call
+/// anneals under [`ANNEAL_PARAMS`] with seeds `seed`, `seed + 1`, … in
+/// attempts of at most [`ATTEMPT_CAP`], until one yields a mapping the
+/// formulation can encode, the window closes at `deadline`, or `stop`
+/// is set; `None` then retires the probe.
 #[derive(Debug)]
 struct AnnealProbe<'a> {
     dfg: &'a Dfg,
@@ -526,18 +360,28 @@ struct AnnealProbe<'a> {
 }
 
 impl HeuristicProbe for AnnealProbe<'_> {
-    fn probe(&self, seed: u64, stop: &AtomicBool) -> Option<Vec<bool>> {
-        AnnealAttempts {
-            params: PROBE_PARAMS,
-            seed,
-            stride: 0x9e37_79b9_7f4a_7c15,
-            attempts: u64::MAX,
-            slice: Duration::from_millis(250),
-            deadline: self.deadline,
+    fn probe(&self, seed: u64, stop: &Arc<AtomicBool>) -> Option<Vec<bool>> {
+        for k in 0u64.. {
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left < Duration::from_millis(5) || stop.load(Ordering::Relaxed) {
+                break;
+            }
+            let annealer = AnnealingMapper::new(
+                MapperOptions {
+                    seed: seed.wrapping_add(k),
+                    time_limit: Some(left.min(ATTEMPT_CAP)),
+                    ..self.options
+                },
+                ANNEAL_PARAMS,
+            )
+            .with_interrupt(Arc::clone(stop));
+            if let MapOutcome::Mapped { mapping, .. } = annealer.map(self.dfg, self.mrrg).outcome {
+                if let Some(values) = self.formulation.encode(self.dfg, &mapping) {
+                    return Some(values);
+                }
+            }
         }
-        .run(self.dfg, self.mrrg, self.options, Some(stop), |mapping| {
-            self.formulation.encode(self.dfg, &mapping)
-        })
+        None
     }
 }
 
@@ -816,7 +660,6 @@ mod tests {
                 optimize: true,
                 threads,
                 seed_probes: 2,
-                probe_budget: Some(Duration::from_millis(200)),
                 ..MapperOptions::default()
             })
             .map(&dfg, &mrrg);
@@ -838,7 +681,8 @@ mod tests {
     fn seeding_probes_cannot_flip_infeasibility() {
         // 5 adds onto 4 ALUs with the matching presolve off, so the
         // exact solver itself proves infeasibility — probes hammer away
-        // and must publish nothing.
+        // for their window (45% of the limit) and must publish
+        // nothing.
         let mut g = Dfg::new("big");
         let a = g.add_op("a", OpKind::Input).unwrap();
         let mut prev = a;
@@ -856,7 +700,7 @@ mod tests {
                 redundant_capacity: false,
                 threads,
                 seed_probes: 4,
-                probe_budget: Some(Duration::from_millis(100)),
+                time_limit: Some(Duration::from_secs(2)),
                 ..MapperOptions::default()
             })
             .map(&g, &mrrg);

@@ -68,38 +68,6 @@ impl Mapping {
             .map(|&n| objective.cost_of(mrrg.nodes()[n.index()].role))
             .sum()
     }
-
-    /// Re-expresses this mapping against another MRRG of the **same
-    /// architecture** by node name.
-    ///
-    /// `NodeId`s are not stable across context counts (nodes are generated
-    /// component-major, context-minor), but node *names* like `"f.fu@0"`
-    /// are — and every context of an II=k graph exists in the II=k+1
-    /// graph. Placements must all translate (otherwise `None` is
-    /// returned); routes are carried over only when every node on the path
-    /// exists in the target graph, since a partial route is useless as a
-    /// warm-start hint while a partial route *set* is fine.
-    ///
-    /// The result is a hint, not a certified mapping: an II=k route can be
-    /// mux-inconsistent at II=k+1, which is exactly why hints are fed to
-    /// the solver as branch suggestions rather than fixed assignments.
-    pub fn translate_to(&self, from: &Mrrg, to: &Mrrg) -> Option<Mapping> {
-        let find = |n: NodeId| -> Option<NodeId> {
-            let name = &from.nodes()[n.index()].name;
-            to.node_by_name(name)
-        };
-        let mut out = Mapping::new();
-        for (&q, &p) in &self.placement {
-            out.placement.insert(q, find(p)?);
-        }
-        out.swapped = self.swapped.clone();
-        for (&e, path) in &self.routes {
-            if let Some(translated) = path.iter().map(|&n| find(n)).collect::<Option<Vec<_>>>() {
-                out.routes.insert(e, translated);
-            }
-        }
-        Some(out)
-    }
 }
 
 impl Default for Mapping {

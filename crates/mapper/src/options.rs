@@ -94,14 +94,16 @@ pub struct MapperOptions {
     /// These are implied by constraints (1)-(3) but give the solver short
     /// counting refutations for over-subscribed instances.
     pub redundant_capacity: bool,
-    /// RNG seed (used by the simulated-annealing mapper; the ILP mapper is
-    /// deterministic).
+    /// RNG seed: the simulated-annealing mapper's, the first seed of the
+    /// ILP mapper's annealing probe, and the base of the engines'
+    /// diversification when several race. One ILP engine with probes off
+    /// ignores it.
     pub seed: u64,
-    /// Whether the ILP mapper may warm-start from a quick
-    /// simulated-annealing portfolio: a found mapping is handed to the
-    /// exact solver as *branch hints* (the MIP-start mechanism commercial
-    /// solvers offer). Verdicts — feasible, infeasible, optimal — are
-    /// still produced by the exact solver; hints only steer search order.
+    /// Whether the ILP mapper runs at least one annealing probe (see
+    /// [`MapperOptions::seed_probes`]), even when `seed_probes` is 0.
+    /// With one engine, the probe's first validated mapping also becomes
+    /// the engine's preferred phases (a MIP start). Verdicts — feasible,
+    /// infeasible, optimal — still come from the exact solver.
     pub warm_start: bool,
     /// Number of solver engines for the ILP mapper; `0` uses all
     /// available cores. Each attempt is one persistent solver whose
@@ -172,30 +174,18 @@ pub struct MapperOptions {
     /// parallelises the *solve*: at warm-serve rates model build time is
     /// the cold-path bottleneck, so the two are tuned separately.
     pub build_jobs: usize,
-    /// Whether the min-II search may fall back to the simulated-annealing
-    /// mapper when the ILP attempt at an II times out: a validated
-    /// annealer mapping upgrades the `T` cell to a (non-optimal, but
-    /// certified-by-validation) mapped result, flagged as a fallback in
-    /// [`IiAttempt::fallback`](crate::IiAttempt::fallback). Verdicts are
-    /// never downgraded — infeasibility proofs still come only from the
-    /// exact solver.
-    pub anneal_fallback: bool,
-    /// Number of heuristic incumbent-seeding probes: cheap randomized
-    /// annealing attempts whose validated mappings feed the exact solver
-    /// a first incumbent *before* (and, with several engines,
-    /// *concurrently with*) its own search. With one engine the probes
-    /// run inline and seed the descent plus the warm-start branch
-    /// hints; with several they race the engines as first-class probe
-    /// workers whose incumbents bound every CDCL engine mid-solve. Verdicts, optimal objective values and
-    /// infeasibility certificates are unaffected — probes only supply
-    /// upper bounds earlier. `0` (the default) disables seeding.
+    /// Number of annealing probe threads that race the exact engines
+    /// when [`MapperOptions::threads`] > 1. With one engine, any value
+    /// `>= 1` means one probe run before the search, exactly as
+    /// [`MapperOptions::warm_start`] gives. A probe anneals for
+    /// at most 45% of the time limit (30 s when unlimited) and
+    /// hands the solver each mapping it finds as a candidate incumbent,
+    /// which the solver validates against the model before use. A valid
+    /// candidate answers a feasibility query and bounds the optimising
+    /// descent. Verdicts, optimal objective values and infeasibility
+    /// certificates are unaffected. `0` (the default) runs no probe
+    /// unless [`MapperOptions::warm_start`] is set.
     pub seed_probes: usize,
-    /// Wall-clock budget for heuristic seeding probes per mapping
-    /// attempt (split across `seed_probes` attempts inline, or bounding
-    /// each racing probe worker's window). `None` derives a
-    /// default from `time_limit`: 10% of the remaining budget, clamped
-    /// to [100 ms, 2 s], or 1 s when unlimited.
-    pub probe_budget: Option<Duration>,
 }
 
 impl Default for MapperOptions {
@@ -218,9 +208,7 @@ impl Default for MapperOptions {
             certify: false,
             mem_limit: None,
             build_jobs: 1,
-            anneal_fallback: false,
             seed_probes: 0,
-            probe_budget: None,
         }
     }
 }

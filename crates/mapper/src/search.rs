@@ -21,7 +21,6 @@
 //! * presolve and engine statistics are accumulated across every attempt
 //!   into [`MinIiReport::totals`].
 
-use crate::anneal::{AnnealParams, AnnealingMapper};
 use crate::formulation::BuildInfeasible;
 use crate::ilp::{IlpMapper, MapOutcome, MapReport};
 use crate::options::MapperOptions;
@@ -80,11 +79,6 @@ pub struct IiAttempt {
     pub report: MapReport,
     /// Trust status of the verdict (see [`VerdictProvenance`]).
     pub provenance: VerdictProvenance,
-    /// Whether the mapping came from the simulated-annealing fallback
-    /// after the exact solver timed out
-    /// ([`MapperOptions::anneal_fallback`]). Fallback mappings are
-    /// validated like any other but carry no optimality information.
-    pub fallback: bool,
 }
 
 /// Statistics accumulated over a whole minimum-II search.
@@ -283,7 +277,7 @@ pub fn verdict_provenance(
 /// Derives the trust status of one attempt's verdict.
 ///
 /// * A mapping was structurally validated inside the mapper — always
-///   `Certified`, fallback or not.
+///   `Certified`, whether the exact search or a probe found it.
 /// * A timeout decides nothing — always `Unchecked`.
 /// * Search-derived infeasibility carries the solver's own
 ///   [`Certificate`](bilp::Certificate) when
@@ -406,7 +400,6 @@ pub(crate) fn min_ii_ladder(
                 ii,
                 report,
                 provenance,
-                fallback: false,
             });
             continue;
         }
@@ -416,36 +409,8 @@ pub(crate) fn min_ii_ladder(
         } else {
             session.mrrg(ii)
         };
-        let mrrg: &Mrrg = &mrrg;
-
-        let mut report = mapper.map(dfg, mrrg);
+        let report = mapper.map(dfg, &mrrg);
         totals.absorb(&report);
-
-        // Graceful degradation: a timeout decides nothing, but a
-        // heuristic mapping — validated like any other — still upgrades
-        // the cell from `T` to a usable (non-optimal) result. Skipped
-        // when the timeout came from an external cancellation — the
-        // caller wants the search to end, and the annealer has no
-        // cancellation hook.
-        let mut fallback = false;
-        if options.anneal_fallback && !fired() && matches!(report.outcome, MapOutcome::Timeout) {
-            let heuristic = AnnealingMapper::new(
-                MapperOptions {
-                    warm_start: false,
-                    ..options
-                },
-                AnnealParams::default(),
-            )
-            .map(dfg, mrrg);
-            if heuristic.outcome.is_mapped() {
-                report = MapReport {
-                    outcome: heuristic.outcome,
-                    elapsed: report.elapsed + heuristic.elapsed,
-                    ..report
-                };
-                fallback = true;
-            }
-        }
 
         let mapped = matches!(report.outcome, MapOutcome::Mapped { .. });
         let provenance = provenance_of(dfg, &mrrg1, ii, &report, &options);
@@ -453,7 +418,6 @@ pub(crate) fn min_ii_ladder(
             ii,
             report,
             provenance,
-            fallback,
         });
         if mapped {
             min_ii = Some(ii);
@@ -497,7 +461,6 @@ mod tests {
         assert!(report.totals.elapsed >= report.attempts[1].report.elapsed);
         // The II=2 mapping is validated, so its verdict is certified.
         assert_eq!(report.attempts[1].provenance, VerdictProvenance::Certified);
-        assert!(!report.attempts[1].fallback);
     }
 
     #[test]
@@ -628,27 +591,5 @@ mod tests {
             panic!("tiny add maps at II=1");
         };
         assert!(optimal, "optimisation stage should prove optimality");
-    }
-
-    #[test]
-    fn translated_mapping_warm_starts_the_next_ii() {
-        // A mapping found at II=1 remains a usable hint at II=2 after
-        // name-based translation (contexts 0..k exist in the II=k+1 graph).
-        let arch = grid(GridParams::paper(
-            FuMix::Homogeneous,
-            Interconnect::Diagonal,
-        ));
-        let dfg = cgra_dfg::benchmarks::accum();
-        let mrrg1 = build_mrrg(&arch, 1);
-        let mrrg2 = build_mrrg(&arch, 2);
-        let first = IlpMapper::new(MapperOptions::default()).map(&dfg, &mrrg1);
-        let mapping = first.outcome.mapping().expect("accum maps at II=1");
-        let hint = mapping
-            .translate_to(&mrrg1, &mrrg2)
-            .expect("II=1 placements exist at II=2");
-        assert_eq!(hint.placement.len(), mapping.placement.len());
-        let report =
-            IlpMapper::new(MapperOptions::default()).map_with_hint(&dfg, &mrrg2, Some(&hint));
-        assert!(report.outcome.is_mapped(), "{}", report.outcome);
     }
 }

@@ -1,8 +1,8 @@
-//! Heuristic incumbent seeding end to end: annealer probes racing the
-//! exact solver on cheap Table 2 cells must never change a decided
-//! verdict, and must actually publish incumbents — the guard that the
-//! probe plumbing stays alive from `MapperOptions::seed_probes` down to
-//! the solver.
+//! Heuristic incumbent seeding end to end: annealer probes on cheap
+//! Table 2 cells, run before the one engine's search or racing two,
+//! must never change a decided verdict, and must actually publish
+//! incumbents — the guard that the probe plumbing stays alive from
+//! `MapperOptions::seed_probes` down to the solver at every width.
 
 use bilp::IncumbentSource;
 use cgra_arch::families::paper_configs;
@@ -12,9 +12,15 @@ use std::time::Duration;
 
 #[test]
 fn seeded_runs_agree_with_unseeded_and_publish_heuristic_incumbents() {
+    for threads in [1, 2] {
+        seeded_runs_agree(threads);
+    }
+}
+
+fn seeded_runs_agree(threads: usize) {
     let unseeded = MapperOptions {
         time_limit: Some(Duration::from_secs(5)),
-        threads: 2,
+        threads,
         ..MapperOptions::default()
     };
     let seeded = MapperOptions {
@@ -33,7 +39,7 @@ fn seeded_runs_agree_with_unseeded_and_publish_heuristic_incumbents() {
             let (a, b) = (base.outcome.table_symbol(), probed.outcome.table_symbol());
             assert!(
                 a == "T" || b == "T" || a == b,
-                "{kernel} on homo-diag/{}: unseeded {a}, seeded {b}",
+                "{kernel} on homo-diag/{} at {threads} threads: unseeded {a}, seeded {b}",
                 config.contexts
             );
             heuristic_incumbents += probed.solver.probe_incumbents
@@ -42,6 +48,6 @@ fn seeded_runs_agree_with_unseeded_and_publish_heuristic_incumbents() {
     }
     assert!(
         heuristic_incumbents > 0,
-        "no seeded run published a heuristic incumbent"
+        "no seeded run at {threads} threads published a heuristic incumbent"
     );
 }

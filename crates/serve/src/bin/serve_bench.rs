@@ -4,7 +4,8 @@
 //! single-client `serve` workload does not: the pipelined warm *storm*.
 //! For each worker count in {1, 2, 4, 8} it starts a fresh in-process
 //! service, primes the cache with every cell of a Table-2 arch × kernel
-//! matrix, then has a handful of persistent connections pipeline
+//! matrix under a fixed conflict budget per query (the time limit only
+//! guards it), then has a handful of persistent connections pipeline
 //! identical warm requests. The number printed per worker count is the
 //! daemon's frame-reassembly + cache-fast-path capacity, not
 //! per-connection round-trip latency. Nothing is written to disk; the
@@ -50,6 +51,10 @@ const STORM_CONNS: usize = 4;
 const STORM_PER_CONN: usize = 2000;
 /// In-flight window per pipelined connection (send W, then receive W).
 const PIPELINE_WINDOW: usize = 64;
+/// Per-query conflict budget of the storm's cells: it fixes the priming
+/// solves' work (perfbench's `descent` budget), and the time limit only
+/// guards it.
+const STORM_CONFLICTS: u64 = 2_000;
 
 const USAGE: &str = "\
 usage: serve_bench [--time-limit <seconds>]
@@ -68,29 +73,29 @@ struct Cell {
     ii: u32,
 }
 
-fn options_json(time_limit: Duration) -> Json {
-    obj(vec![
+/// Request options: one solver thread, `time_limit` per solve and, when
+/// given, a per-query `conflict_limit` that fixes the solve's work.
+fn options_json(time_limit: Duration, conflict_limit: Option<u64>) -> Json {
+    let mut members = vec![
         ("time_limit_us", Json::Int(time_limit.as_micros() as i64)),
         ("threads", Json::Int(1)),
-    ])
+    ];
+    if let Some(n) = conflict_limit {
+        members.push(("conflict_limit", Json::Int(n as i64)));
+    }
+    obj(members)
 }
 
 /// A raw `map` request line (the pipelined phases write lines directly
 /// instead of going through `Client::map`'s round-trip).
-fn map_line(id: &str, cell: &Cell, time_limit_us: i64) -> String {
+fn map_line(id: &str, cell: &Cell, options: &Json) -> String {
     let doc = obj(vec![
         ("id", s(id)),
         ("cmd", s("map")),
         ("dfg", s(cell.dfg_text.clone())),
         ("arch", s(cell.arch_text.clone())),
         ("ii", Json::Int(cell.ii as i64)),
-        (
-            "options",
-            obj(vec![
-                ("time_limit_us", Json::Int(time_limit_us)),
-                ("threads", Json::Int(1)),
-            ]),
-        ),
+        ("options", options.clone()),
     ]);
     doc.to_string()
 }
@@ -179,13 +184,13 @@ fn run_smoke(connect: Option<&str>, time_limit: Duration) {
 
     // Phase 1: miss -> hit, byte-identical replay.
     let first = client
-        .map(&dfg, &arch, 1, Some(options_json(time_limit)))
+        .map(&dfg, &arch, 1, Some(options_json(time_limit, None)))
         .unwrap_or_else(|e| {
             eprintln!("serve_bench: first request failed: {e}");
             std::process::exit(1);
         });
     let second = client
-        .map(&dfg, &arch, 1, Some(options_json(time_limit)))
+        .map(&dfg, &arch, 1, Some(options_json(time_limit, None)))
         .unwrap_or_else(|e| {
             eprintln!("serve_bench: second request failed: {e}");
             std::process::exit(1);
@@ -219,14 +224,17 @@ fn run_smoke(connect: Option<&str>, time_limit: Duration) {
         arch_text: arch.clone(),
         ii: 1,
     };
-    let unique_us = 2_000_000 + (std::process::id() as i64 % 500_000);
+    let unique = options_json(
+        Duration::from_micros(2_000_000 + u64::from(std::process::id()) % 500_000),
+        None,
+    );
     let coalesce_stats_before = client
         .stats()
         .map(|r| r.result)
         .unwrap_or_else(|e| fail(&format!("stats failed: {e}")));
     const SMOKE_WAITERS: usize = 4;
     let texts: Vec<String> = std::thread::scope(|scope| {
-        let cell = &cell;
+        let (cell, unique) = (&cell, &unique);
         let addr = addr.as_str();
         let mut handles = Vec::new();
         for i in 0..SMOKE_WAITERS {
@@ -236,7 +244,7 @@ fn run_smoke(connect: Option<&str>, time_limit: Duration) {
                     std::thread::sleep(Duration::from_millis(200));
                 }
                 let mut c = Client::connect(addr).expect("coalesce connection");
-                let line = map_line(&format!("sm-{i}"), cell, unique_us);
+                let line = map_line(&format!("sm-{i}"), cell, unique);
                 c.send_line(&line).expect("send");
                 c.recv_response().expect("coalesced solve").result_text
             }));
@@ -271,12 +279,9 @@ fn run_smoke(connect: Option<&str>, time_limit: Duration) {
         ii: 1,
     };
     const SMOKE_PIPELINE: usize = 32;
+    let warm = options_json(time_limit, None);
     for i in 0..SMOKE_PIPELINE {
-        let line = map_line(
-            &format!("wp-{i}"),
-            &warm_cell,
-            time_limit.as_micros() as i64,
-        );
+        let line = map_line(&format!("wp-{i}"), &warm_cell, &warm);
         if let Err(e) = client.send_line(&line) {
             failures.push(format!("pipelined send failed: {e}"));
             break;
@@ -389,7 +394,7 @@ fn build_cells() -> Vec<Cell> {
 /// identical warm requests (windowed send/recv bursts), so the measured
 /// number is the daemon's frame-reassembly + cache-fast-path capacity,
 /// not the client's round-trip latency.
-fn run_warm_storm(addr: &str, cells: &[Cell], time_limit: Duration) -> (usize, Duration) {
+fn run_warm_storm(addr: &str, cells: &[Cell], options: &Json) -> (usize, Duration) {
     let completed = Arc::new(AtomicU64::new(0));
     let wall_start = Instant::now();
     std::thread::scope(|scope| {
@@ -406,13 +411,7 @@ fn run_warm_storm(addr: &str, cells: &[Cell], time_limit: Duration) -> (usize, D
                 // Pre-render the request lines: the bench must not
                 // measure its own JSON formatting.
                 let lines: Vec<String> = (0..cells.len())
-                    .map(|i| {
-                        map_line(
-                            &format!("st{conn}-{i}"),
-                            &cells[i],
-                            time_limit.as_micros() as i64,
-                        )
-                    })
+                    .map(|i| map_line(&format!("st{conn}-{i}"), &cells[i], options))
                     .collect();
                 let mut sent = 0usize;
                 let mut received = 0usize;
@@ -458,11 +457,15 @@ fn run_full(time_limit: Duration) {
     let expected = STORM_CONNS * STORM_PER_CONN;
     eprintln!(
         "serve_bench: warm storm over {} cells ({} kernels x 4 architectures), \
-         {STORM_CONNS} connections x {STORM_PER_CONN} pipelined requests, time limit {:?}",
+         {STORM_CONNS} connections x {STORM_PER_CONN} pipelined requests, \
+         {STORM_CONFLICTS} conflicts per query, time limit {:?}",
         cells.len(),
         KERNELS.len(),
         time_limit
     );
+    // Priming and the storm send the same options, so every storm
+    // request is a cache hit; timeouts are cached too.
+    let options = options_json(time_limit, Some(STORM_CONFLICTS));
     let mut short = false;
     for workers in WORKER_COUNTS {
         // No per-request deadline: queue wait must not eat into the
@@ -486,7 +489,7 @@ fn run_full(time_limit: Duration) {
         // Prime the cache: every cell pipelined on one connection, so
         // the service solves up to `workers` of them at once.
         for (i, cell) in cells.iter().enumerate() {
-            let line = map_line(&format!("prime-{i}"), cell, time_limit.as_micros() as i64);
+            let line = map_line(&format!("prime-{i}"), cell, &options);
             if let Err(e) = client.send_line(&line) {
                 eprintln!("serve_bench: priming send failed: {e}");
                 std::process::exit(1);
@@ -498,7 +501,7 @@ fn run_full(time_limit: Duration) {
                 std::process::exit(1);
             }
         }
-        let (completed, wall) = run_warm_storm(&addr, &cells, time_limit);
+        let (completed, wall) = run_warm_storm(&addr, &cells, &options);
         println!(
             "workers={workers} warm storm: {completed}/{expected} responses in {:.3}s, {:.1} req/s",
             wall.as_secs_f64(),

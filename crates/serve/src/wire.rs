@@ -353,8 +353,24 @@ impl Served {
 /// (`keyed`) or not (`unkeyed`). Generates [`encode_options`],
 /// [`decode_options`] and [`options_fingerprint`], which destructure
 /// `MapperOptions` without `..`: a field with no row does not compile.
+///
+/// A `retired` row keeps a removed option's place in the fingerprint:
+/// its last default value is hashed there, so the cache key of every
+/// request stayed put when the option went. Its wire key is neither
+/// written nor read; a request that still sends it decodes as if it
+/// had not.
 macro_rules! option_table {
-    ($($field:ident: $key:literal, $codec:ty, $keyed:ident;)*) => {
+    (@sort [$($live:tt)*] [$($hashed:tt)*]
+        $field:ident: $key:literal, $codec:ty, $keyed:ident; $($rest:tt)*) => {
+        option_table!(@sort [$($live)* ($field, $key, $codec)]
+            [$($hashed)* ($keyed, $codec, $field)] $($rest)*);
+    };
+    (@sort [$($live:tt)*] [$($hashed:tt)*]
+        retired $key:literal, $codec:ty = $value:expr; $($rest:tt)*) => {
+        option_table!(@sort [$($live)*] [$($hashed)* (keyed, $codec, $value)] $($rest)*);
+    };
+    (@sort [$(($field:ident, $key:literal, $codec:ty))*]
+        [$(($keyed:ident, $hcodec:ty, $hvalue:expr))*]) => {
         /// Encodes options in full (every field explicit, defaults
         /// included), in table order.
         pub fn encode_options(o: &MapperOptions) -> Json {
@@ -385,15 +401,18 @@ macro_rules! option_table {
         pub fn options_fingerprint(o: &MapperOptions) -> u64 {
             let MapperOptions { $($field),* } = *o;
             let mut h = ContentHasher::new("cgra-serve-options");
-            $(option_table!(@hash $keyed, $codec, $field, h);)*
+            $(option_table!(@hash $keyed, $hcodec, $hvalue, h);)*
             h.finish()
         }
     };
-    (@hash keyed, $codec:ty, $field:ident, $h:ident) => {
-        <$codec as Codec<_>>::hash($field, &mut $h)
+    (@hash keyed, $codec:ty, $value:expr, $h:ident) => {
+        <$codec as Codec<_>>::hash($value, &mut $h)
     };
-    (@hash unkeyed, $codec:ty, $field:ident, $h:ident) => {
-        let _ = $field;
+    (@hash unkeyed, $codec:ty, $value:expr, $h:ident) => {
+        let _ = $value;
+    };
+    ($($row:tt)*) => {
+        option_table!(@sort [] [] $($row)*);
     };
 }
 
@@ -417,9 +436,9 @@ option_table! {
     // The built model is bit-identical at every job count, so requests
     // differing only in build parallelism share one cache entry.
     build_jobs:         "build_jobs",         Count,          unkeyed;
-    anneal_fallback:    "anneal_fallback",    Flag,           keyed;
+    retired             "anneal_fallback",    Flag = false;
     seed_probes:        "seed_probes",        Count,          keyed;
-    probe_budget:       "probe_budget_us",    OptCount,       keyed;
+    retired             "probe_budget_us",    OptCount = None::<Duration>;
 }
 
 /// How one option travels: its JSON form, its decoder (`key` names the
@@ -700,7 +719,6 @@ pub fn encode_min_ii_report(
                 ("ii", Json::Int(a.ii as i64)),
                 ("report", encode_map_report(dfg, &mrrg, &a.report)),
                 ("provenance", s(a.provenance.label())),
-                ("fallback", Json::Bool(a.fallback)),
             ])
         })
         .collect();
@@ -761,10 +779,6 @@ pub fn decode_min_ii_report(
                     Some("check-failed") => VerdictProvenance::CheckFailed,
                     _ => return Err(bad("attempt has unknown `provenance`")),
                 },
-                fallback: a
-                    .get("fallback")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| bad("attempt missing `fallback`"))?,
             })
         })
         .collect::<Result<Vec<_>, WireError>>()?;

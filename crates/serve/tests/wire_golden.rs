@@ -75,9 +75,7 @@ fn full_options() -> MapperOptions {
         certify: true,
         mem_limit: Some(1 << 20),
         build_jobs: 4,
-        anneal_fallback: true,
         seed_probes: 6,
-        probe_budget: Some(Duration::from_millis(750)),
     }
 }
 
@@ -115,9 +113,7 @@ fn random_options(rng: &mut Rng) -> MapperOptions {
         certify: rng.gen_bool(0.5),
         mem_limit: rng.gen_bool(0.5).then(|| rng.gen_range(0..1 << 40)),
         build_jobs: rng.gen_range_inclusive(0..=64),
-        anneal_fallback: rng.gen_bool(0.5),
         seed_probes: rng.gen_range_inclusive(0..=64),
-        probe_budget: micros(rng),
     }
 }
 
@@ -135,19 +131,19 @@ fn option_row(o: &MapperOptions) -> (String, u64, u64) {
 }
 
 const DEFAULT_OPTIONS: (&str, u64, u64) = (
-    "{\"time_limit_us\":null,\"optimize\":false,\"objective\":\"routing\",\"commutativity\":true,\"mux_exclusivity\":true,\"redundant_capacity\":true,\"seed\":1,\"warm_start\":false,\"threads\":1,\"presolve\":true,\"reach_reduction\":true,\"conflict_limit\":null,\"objective_stop\":null,\"explain_infeasible\":false,\"certify\":false,\"mem_limit\":null,\"build_jobs\":1,\"anneal_fallback\":false,\"seed_probes\":0,\"probe_budget_us\":null}",
+    "{\"time_limit_us\":null,\"optimize\":false,\"objective\":\"routing\",\"commutativity\":true,\"mux_exclusivity\":true,\"redundant_capacity\":true,\"seed\":1,\"warm_start\":false,\"threads\":1,\"presolve\":true,\"reach_reduction\":true,\"conflict_limit\":null,\"objective_stop\":null,\"explain_infeasible\":false,\"certify\":false,\"mem_limit\":null,\"build_jobs\":1,\"seed_probes\":0}",
     0x16fdd2bbdd7940b9,
     0x6dd6095a126b2332,
 );
 
 const FULL_OPTIONS: (&str, u64, u64) = (
-    "{\"time_limit_us\":123456789,\"optimize\":true,\"objective\":{\"wire\":1,\"mux\":5,\"register\":3},\"commutativity\":false,\"mux_exclusivity\":false,\"redundant_capacity\":false,\"seed\":3735928559,\"warm_start\":true,\"threads\":3,\"presolve\":false,\"reach_reduction\":false,\"conflict_limit\":10000,\"objective_stop\":-7,\"explain_infeasible\":true,\"certify\":true,\"mem_limit\":1048576,\"build_jobs\":4,\"anneal_fallback\":true,\"seed_probes\":6,\"probe_budget_us\":750000}",
-    0x99d2b03354a9d4a7,
-    0x80c1517c17507f67,
+    "{\"time_limit_us\":123456789,\"optimize\":true,\"objective\":{\"wire\":1,\"mux\":5,\"register\":3},\"commutativity\":false,\"mux_exclusivity\":false,\"redundant_capacity\":false,\"seed\":3735928559,\"warm_start\":true,\"threads\":3,\"presolve\":false,\"reach_reduction\":false,\"conflict_limit\":10000,\"objective_stop\":-7,\"explain_infeasible\":true,\"certify\":true,\"mem_limit\":1048576,\"build_jobs\":4,\"seed_probes\":6}",
+    0xae09100aec0f40ef,
+    0x94cfef06cfc04eae,
 );
 
 /// FNV-1a over the rows of the 200 random option sets.
-const RANDOM_OPTIONS_DIGEST: u64 = 0x6fe5932df9ea7322;
+const RANDOM_OPTIONS_DIGEST: u64 = 0x5031cf89860943ca;
 
 #[test]
 fn options_encode_fingerprint_and_key_match_golden() {
@@ -193,7 +189,9 @@ fn options_encode_fingerprint_and_key_match_golden() {
 // decode_options
 // ---------------------------------------------------------------------
 
-/// Every wire key with the valid values the corpus gives it.
+/// Every wire key with the valid values the corpus gives it, retired
+/// keys (`anneal_fallback`, `probe_budget_us`) included: those decode as
+/// if absent.
 const OPTION_KEYS: &[(&str, &[&str])] = &[
     ("time_limit_us", &["1500000"]),
     ("optimize", &["true"]),
@@ -237,14 +235,19 @@ const OPTION_DOCUMENTS: &[&str] = &[
     "{\"threads\":2,\"build_jobs\":3,\"seed\":5,\"optimize\":true}",
 ];
 
-/// `ok <what the key re-encodes to> <fingerprint>` or the typed error.
+/// `ok <what the key re-encodes to, or `-`> <fingerprint>` or the typed
+/// error.
 fn decoded(doc: &Json, key: Option<&str>) -> String {
     match decode_options(Some(doc)) {
         Ok(o) => {
             let encoded = encode_options(&o);
             let shown = key.map_or_else(
                 || encoded.to_string(),
-                |k| encoded.get(k).expect("every key encodes").to_string(),
+                |k| {
+                    encoded
+                        .get(k)
+                        .map_or_else(|| "-".to_owned(), Json::to_string)
+                },
             );
             format!("ok {} {:016x}", truncate(&shown), options_fingerprint(&o))
         }
@@ -365,29 +368,29 @@ const DECODE_GOLDEN: &[(&str, &str, &str)] = &[
     ("build_jobs", "\"7\"", "error request: `build_jobs` must be a non-negative integer"),
     ("build_jobs", "-1", "error request: `build_jobs` must be a non-negative integer"),
     ("build_jobs", "65", "error request: `build_jobs` must be <= 64"),
-    ("anneal_fallback", "true", "ok true f0562980200f5658"),
-    ("anneal_fallback", "null", "error request: `anneal_fallback` must be a boolean"),
-    ("anneal_fallback", "\"7\"", "error request: `anneal_fallback` must be a boolean"),
-    ("anneal_fallback", "-1", "error request: `anneal_fallback` must be a boolean"),
-    ("anneal_fallback", "65", "error request: `anneal_fallback` must be a boolean"),
+    ("anneal_fallback", "true", "ok - 16fdd2bbdd7940b9"),
+    ("anneal_fallback", "null", "ok - 16fdd2bbdd7940b9"),
+    ("anneal_fallback", "\"7\"", "ok - 16fdd2bbdd7940b9"),
+    ("anneal_fallback", "-1", "ok - 16fdd2bbdd7940b9"),
+    ("anneal_fallback", "65", "ok - 16fdd2bbdd7940b9"),
     ("seed_probes", "6", "ok 6 f0f2556c4ff7d23f"),
     ("seed_probes", "null", "error request: `seed_probes` must be a non-negative integer"),
     ("seed_probes", "\"7\"", "error request: `seed_probes` must be a non-negative integer"),
     ("seed_probes", "-1", "error request: `seed_probes` must be a non-negative integer"),
     ("seed_probes", "65", "error request: `seed_probes` must be <= 64"),
-    ("probe_budget_us", "750000", "ok 750000 70fb0591b00c59c0"),
-    ("probe_budget_us", "null", "ok null 16fdd2bbdd7940b9"),
-    ("probe_budget_us", "\"7\"", "error request: `probe_budget_us` must be null or an integer"),
-    ("probe_budget_us", "-1", "error request: `probe_budget_us` must be null or an integer"),
-    ("probe_budget_us", "65", "ok 65 e59881fbf3ba8bf9"),
-    ("", "null", "ok {\"time_limit_us\"… #f146b8c7a5a42954 16fdd2bbdd7940b9"),
-    ("", "{}", "ok {\"time_limit_us\"… #f146b8c7a5a42954 16fdd2bbdd7940b9"),
+    ("probe_budget_us", "750000", "ok - 16fdd2bbdd7940b9"),
+    ("probe_budget_us", "null", "ok - 16fdd2bbdd7940b9"),
+    ("probe_budget_us", "\"7\"", "ok - 16fdd2bbdd7940b9"),
+    ("probe_budget_us", "-1", "ok - 16fdd2bbdd7940b9"),
+    ("probe_budget_us", "65", "ok - 16fdd2bbdd7940b9"),
+    ("", "null", "ok {\"time_limit_us\"… #0b7f8c2dd2f87a67 16fdd2bbdd7940b9"),
+    ("", "{}", "ok {\"time_limit_us\"… #0b7f8c2dd2f87a67 16fdd2bbdd7940b9"),
     ("", "[]", "error request: `options` must be an object"),
     ("", "\"x\"", "error request: `options` must be an object"),
     ("", "7", "error request: `options` must be an object"),
-    ("", "{\"unknown\":1}", "ok {\"time_limit_us\"… #f146b8c7a5a42954 16fdd2bbdd7940b9"),
-    ("", "{\"threads\":2,\"threads\":3}", "ok {\"time_limit_us\"… #5e914166efd52ec1 5f591a65755a285a"),
-    ("", "{\"threads\":2,\"build_jobs\":3,\"seed\":5,\"optimize\":true}", "ok {\"time_limit_us\"… #46443d208027f6f8 4fa3dada5e468949"),
+    ("", "{\"unknown\":1}", "ok {\"time_limit_us\"… #0b7f8c2dd2f87a67 16fdd2bbdd7940b9"),
+    ("", "{\"threads\":2,\"threads\":3}", "ok {\"time_limit_us\"… #45f8c3dbe81fa770 5f591a65755a285a"),
+    ("", "{\"threads\":2,\"build_jobs\":3,\"seed\":5,\"optimize\":true}", "ok {\"time_limit_us\"… #2fedc302a74acfab 4fa3dada5e468949"),
 ];
 
 #[test]
@@ -416,7 +419,7 @@ fn decode_options_matches_golden() {
 #[test]
 fn fingerprint_moves_exactly_with_keyed_options() {
     type CopyField = fn(&mut MapperOptions, &MapperOptions);
-    let fields: [(&str, bool, CopyField); 20] = [
+    let fields: [(&str, bool, CopyField); 18] = [
         ("time_limit", true, |d, s| d.time_limit = s.time_limit),
         ("optimize", true, |d, s| d.optimize = s.optimize),
         ("objective", true, |d, s| d.objective = s.objective),
@@ -448,11 +451,7 @@ fn fingerprint_moves_exactly_with_keyed_options() {
         ("certify", true, |d, s| d.certify = s.certify),
         ("mem_limit", true, |d, s| d.mem_limit = s.mem_limit),
         ("build_jobs", false, |d, s| d.build_jobs = s.build_jobs),
-        ("anneal_fallback", true, |d, s| {
-            d.anneal_fallback = s.anneal_fallback
-        }),
         ("seed_probes", true, |d, s| d.seed_probes = s.seed_probes),
-        ("probe_budget", true, |d, s| d.probe_budget = s.probe_budget),
     ];
     let (default, full) = (MapperOptions::default(), full_options());
     for (base, other) in [(default, full), (full, default)] {
@@ -572,13 +571,11 @@ fn min_ii_report() -> MinIiReport {
                 ii: 1,
                 report: map_report(),
                 provenance: VerdictProvenance::Certified,
-                fallback: false,
             },
             IiAttempt {
                 ii: 2,
                 report: timeout,
                 provenance: VerdictProvenance::Unchecked,
-                fallback: true,
             },
         ],
         min_ii: None,
@@ -707,7 +704,7 @@ fn truncate(text: &str) -> String {
 }
 
 const MAP_REPORT_DIGEST: u64 = 0xcb4e9ce07e6d012d;
-const MIN_II_REPORT_DIGEST: u64 = 0xdd9d512217c69cb8;
+const MIN_II_REPORT_DIGEST: u64 = 0x19fe51aa50c66997;
 
 #[rustfmt::skip]
 const MAP_REMOVAL_GOLDEN: &[(&str, &str)] = &[

@@ -194,9 +194,7 @@ fn options_roundtrip_every_field() {
         certify: true,
         mem_limit: Some(1 << 20),
         build_jobs: 4,
-        anneal_fallback: true,
         seed_probes: 6,
-        probe_budget: Some(Duration::from_millis(750)),
     };
     // Seeds from 2^63 up travel as negative integers and must come back.
     let high_seeds = [1 << 63, u64::MAX].map(|seed| MapperOptions { seed, ..full });
@@ -273,8 +271,10 @@ fn objective_weights_must_be_integers() {
 
 #[test]
 fn retired_incremental_option_is_ignored() {
-    // `incremental` chose a solve path the mapper no longer has. Clients
-    // that still send it must get an answer, from the same cache entry.
+    // `incremental` chose a solve path the mapper no longer has, and
+    // `anneal_fallback` and `probe_budget_us` tuned annealer entries that
+    // are gone. Clients that still send them must get an answer, from
+    // the same cache entry.
     let dfg = cgra_dfg::text::print(&kernel("accum"));
     let arch = cgra_arch::text::print(&homo_diag());
     let d = cgra_serve::json::s(&dfg).to_string();
@@ -300,7 +300,13 @@ fn retired_incremental_option_is_ignored() {
             cgra_serve::cache::raw_request_key("map", &dfg, &arch, ii, &options),
         )
     };
-    assert_eq!(key(",\"incremental\":false"), key(""));
+    for retired in [
+        ",\"incremental\":false",
+        ",\"anneal_fallback\":true",
+        ",\"probe_budget_us\":750000",
+    ] {
+        assert_eq!(key(retired), key(""), "{retired}");
+    }
 }
 
 // ---------------------------------------------------------------------
