@@ -54,9 +54,7 @@ pub use engine::{Budget, Engine, EngineFeatures, EngineStats, SatResult};
 pub use model::{to_lp_format, Cmp, Constraint, LinExpr, Lit, Model, Var};
 pub use normalize::{normalize, NormConstraint};
 pub use portfolio::ClauseExchange;
-pub use presolve::{
-    presolve, LitDisposition, PresolveConfig, PresolveStats, Presolved, Reconstruction,
-};
+pub use presolve::{presolve, LitDisposition, PresolveStats, Presolved, Reconstruction};
 pub use proof::{Certificate, ProofLog, ProofOrigin, ProofStep, StepKind};
 pub use solve::{
     certify_infeasibility, Assignment, HeuristicProbe, IncrementalSolver, IncumbentSource, Outcome,

@@ -17,19 +17,13 @@
 //!    union-find over literals and every occurrence rewritten to the class
 //!    representative. ILP mapping formulations are full of `f ⇔ r`
 //!    implication pairs, which makes this the single biggest reduction.
-//! 4. **Duplicate and subsumed constraint elimination** — syntactic
-//!    duplicates are dropped, and a budgeted occurrence-list pass removes
-//!    clauses subsumed by shorter ones.
-//! 5. **At-most-one clique detection** — pairwise exclusions (binary
-//!    clauses) are collected into an adjacency structure together with
-//!    existing at-most-one constraints; greedily grown cliques replace the
-//!    covered binaries with a single cardinality constraint.
-//! 6. **Failed-literal probing (budgeted)** — each polarity of
-//!    high-occurrence variables is temporarily assumed and unit-propagated;
-//!    a conflict fixes the opposite literal at the root. Both polarities
-//!    failing proves infeasibility.
-//! 7. **Fixed-variable elimination** — fixed and aliased variables are
-//!    removed and the survivors densely renumbered.
+//! 4. **Duplicate elimination** — syntactic duplicates are dropped.
+//!
+//! Emission then eliminates fixed, aliased and unconstrained variables and
+//! renumbers the survivors densely. There is no clause subsumption, clique
+//! detection or failed-literal probing: across 1,424 Table 2 and random
+//! mapping models they changed no reduced model, and probing changed only
+//! 6 of 1,840 small-fabric ones (EXPERIMENTS.md A14).
 //!
 //! # Why reconstruction is sound
 //!
@@ -48,11 +42,11 @@
 //!
 //! The passes share one flat structure, `Csr`: an offsets array over the
 //! `2n` literal codes plus one items array, filled by counting sort in
-//! constraint order. It serves as the occurrence index and as the
-//! implication and exclusion graphs. Constraints are rewritten in place,
-//! so the passes allocate per pass rather than per constraint (only an
-//! at-most that actually changes is rebuilt by `tighten_at_most`), and no
-//! pass depends on hashing or tree order.
+//! constraint order. It serves as the occurrence index and as the binary
+//! implication graph. Constraints are rewritten in place, so the passes
+//! allocate per pass rather than per constraint (only an at-most that
+//! actually changes is rebuilt by `tighten_at_most`), and no pass depends
+//! on hashing or tree order.
 
 use crate::model::{LinExpr, Lit, Model, Var};
 use crate::normalize::{normalize, NormConstraint};
@@ -64,39 +58,6 @@ const UNASSIGNED: i8 = -1;
 /// Hard cap on simplification rounds; each round is near-linear and the
 /// fixpoint is almost always reached in two or three.
 const MAX_ROUNDS: u32 = 12;
-/// Upper bound on pairwise expansion of an existing at-most-one when
-/// seeding the exclusion adjacency (quadratic in the constraint length).
-const CLIQUE_SEED_LIMIT: usize = 32;
-/// Budget (in pairwise lit comparisons) for the clause subsumption pass.
-const SUBSUME_BUDGET: u64 = 2_000_000;
-
-/// Presolve configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PresolveConfig {
-    /// Propagation-step budget for failed-literal probing; `0` disables
-    /// probing entirely.
-    pub probe_budget: u64,
-    /// Models with fewer variables than this skip probing outright: on
-    /// small models the search finds the same fixings in its first few
-    /// conflicts, so probing would only add wall time. On the Table 2
-    /// models of `perfbench` probing takes about 4 ms per call, an eighth
-    /// of presolve (DESIGN.md §8 has the per-pass table). Set to `0` to
-    /// probe regardless of size.
-    pub probe_min_vars: usize,
-    /// Absolute deadline shared with the solver: presolve time counts
-    /// against the solve budget, and every pass polls this.
-    pub deadline: Option<Instant>,
-}
-
-impl Default for PresolveConfig {
-    fn default() -> Self {
-        PresolveConfig {
-            probe_budget: 200_000,
-            probe_min_vars: 512,
-            deadline: None,
-        }
-    }
-}
 
 /// Reduction counters for one presolve run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,23 +70,16 @@ pub struct PresolveStats {
     pub constraints_before: u64,
     /// Constraints in the reduced model.
     pub constraints_after: u64,
-    /// Variables fixed at the root (propagation, probing, free-variable
+    /// Variables fixed at the root (propagation, free-variable
     /// elimination).
     pub fixed_vars: u64,
     /// Variables merged into another variable by equivalent-literal
     /// substitution.
     pub aliased_vars: u64,
-    /// Constraints removed (satisfied, trivial, duplicate, subsumed, or
-    /// replaced by a clique).
+    /// Constraints removed (satisfied, trivial or duplicate).
     pub removed_constraints: u64,
     /// At-most constraints tightened by saturation or gcd division.
     pub strengthened: u64,
-    /// At-most-one cliques synthesised from pairwise exclusions.
-    pub cliques: u64,
-    /// Variables probed (both polarities counted once).
-    pub probed_vars: u64,
-    /// Probes that failed and therefore fixed the opposite literal.
-    pub failed_literals: u64,
     /// Simplification rounds until fixpoint.
     pub rounds: u32,
     /// Wall-clock time spent in presolve.
@@ -145,11 +99,28 @@ impl PresolveStats {
     }
 }
 
+impl std::ops::AddAssign for PresolveStats {
+    /// Sums every counter, as the runs of a minimum-II search are
+    /// reported together.
+    fn add_assign(&mut self, o: PresolveStats) {
+        self.vars_before += o.vars_before;
+        self.vars_after += o.vars_after;
+        self.constraints_before += o.constraints_before;
+        self.constraints_after += o.constraints_after;
+        self.fixed_vars += o.fixed_vars;
+        self.aliased_vars += o.aliased_vars;
+        self.removed_constraints += o.removed_constraints;
+        self.strengthened += o.strengthened;
+        self.rounds += o.rounds;
+        self.elapsed += o.elapsed;
+    }
+}
+
 /// How one original variable is recovered from a reduced-model assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Disposition {
     /// The variable is fixed. `entailed` distinguishes fixings the model
-    /// forces (root units, probing) from don't-care eliminations of
+    /// forces (root units) from don't-care eliminations of
     /// unconstrained variables, where presolve merely *picked* a value
     /// and the model admits either.
     Fixed { value: bool, entailed: bool },
@@ -302,25 +273,26 @@ enum Con {
 
 /// Flat per-key lists, the one occurrence structure every pass shares:
 /// `items[start[k]..start[k + 1]]` belongs to key `k`, where keys are
-/// literal codes (`2n` of them). [`Csr::build`] fills it by counting sort,
-/// so each list keeps the order in which its items were produced — for
-/// occurrence lists, constraint-index order — and building costs two
-/// linear sweeps and two allocations whatever the model size.
-struct Csr<T> {
+/// literal codes (`2n` of them) and items are constraint ids or literal
+/// codes. [`Csr::build`] fills it by counting sort, so each list keeps the
+/// order in which its items were produced — for occurrence lists,
+/// constraint-index order — and building costs two linear sweeps and two
+/// allocations whatever the model size.
+struct Csr {
     start: Vec<u32>,
-    items: Vec<T>,
+    items: Vec<u32>,
 }
 
-impl<T: Copy + Default> Csr<T> {
+impl Csr {
     /// `each(push)` must call `push(key, item)` for the same sequence of
     /// pairs on both of its two calls (one counts, one fills).
-    fn build(num_keys: usize, mut each: impl FnMut(&mut dyn FnMut(usize, T))) -> Self {
+    fn build(num_keys: usize, mut each: impl FnMut(&mut dyn FnMut(usize, u32))) -> Self {
         let mut start = vec![0u32; num_keys + 1];
         each(&mut |k, _| start[k + 1] += 1);
         for k in 0..num_keys {
             start[k + 1] += start[k];
         }
-        let mut items = vec![T::default(); start[num_keys] as usize];
+        let mut items = vec![0; start[num_keys] as usize];
         // `start[k]` is bucket k's write cursor; once filled it holds the
         // bucket's end, which is the next bucket's start.
         each(&mut |k, x| {
@@ -332,45 +304,22 @@ impl<T: Copy + Default> Csr<T> {
         Csr { start, items }
     }
 
-    fn get(&self, k: usize) -> &[T] {
+    fn get(&self, k: usize) -> &[u32] {
         &self.items[self.start[k] as usize..self.start[k + 1] as usize]
-    }
-}
-
-impl<T: Copy + Default + Ord> Csr<T> {
-    /// Sorts every list and drops repeated items, compacting in place.
-    fn sort_dedup(&mut self) {
-        let num_keys = self.start.len() - 1;
-        let mut write = 0usize;
-        let mut begin = 0usize;
-        for k in 0..num_keys {
-            let end = self.start[k + 1] as usize;
-            self.items[begin..end].sort_unstable();
-            self.start[k] = write as u32;
-            for r in begin..end {
-                if r == begin || self.items[r] != self.items[r - 1] {
-                    self.items[write] = self.items[r];
-                    write += 1;
-                }
-            }
-            begin = end;
-        }
-        self.start[num_keys] = write as u32;
-        self.items.truncate(write);
     }
 }
 
 /// The occurrence index: for each literal code, the ids of the live
 /// constraints containing that literal, in constraint-index order.
-fn occurrences(num_vars: usize, cons: &[Option<Con>], clauses_only: bool) -> Csr<u32> {
+fn occurrences(num_vars: usize, cons: &[Option<Con>]) -> Csr {
     Csr::build(2 * num_vars, |push| {
         for (i, con) in cons.iter().enumerate() {
             match con {
                 Some(Con::Clause(lits)) => lits.iter().for_each(|l| push(l.code(), i as u32)),
-                Some(Con::AtMost(terms, _)) if !clauses_only => {
+                Some(Con::AtMost(terms, _)) => {
                     terms.iter().for_each(|(_, l)| push(l.code(), i as u32))
                 }
-                _ => {}
+                None => {}
             }
         }
     })
@@ -411,23 +360,6 @@ fn con_hash(con: &Con) -> u64 {
         }
     }
     h
-}
-
-/// Calls `f` on the common items of two ascending, duplicate-free lists,
-/// in ascending order.
-fn intersection(a: &[u32], b: &[u32], mut f: impl FnMut(u32)) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                f(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
 }
 
 struct Work {
@@ -777,7 +709,7 @@ impl Work {
             }
             // Occurrences of the literals as currently stored; valid until
             // the next union (none happen inside this loop).
-            let occ = occurrences(self.value.len(), &self.cons, false);
+            let occ = occurrences(self.value.len(), &self.cons);
             let mut dirty: VecDeque<u32> = VecDeque::new();
             let mut queued = vec![false; self.cons.len()];
             // Queues every constraint mentioning `v`, in constraint order.
@@ -829,7 +761,7 @@ impl Work {
     /// contradiction.
     fn equiv_pass(&mut self) -> Result<bool, Conflict> {
         let n = self.value.len();
-        let adj: Csr<u32> = Csr::build(2 * n, |push| {
+        let adj = Csr::build(2 * n, |push| {
             for con in self.cons.iter().flatten() {
                 if let Con::Clause(lits) = con {
                     if let [a, b] = lits.as_slice() {
@@ -949,423 +881,40 @@ impl Work {
         changed
     }
 
-    /// Budgeted clause-subsumes-clause elimination via occurrence lists on
-    /// the rarest literal.
-    fn subsume_pass(&mut self) -> bool {
-        let occ = occurrences(self.value.len(), &self.cons, true);
-        let mut budget = SUBSUME_BUDGET;
-        let mut changed = false;
-        for i in 0..self.cons.len() {
-            if budget == 0 || self.time_up() {
-                break;
-            }
-            if !matches!(self.cons[i], Some(Con::Clause(_))) {
-                continue;
-            }
-            // Lifted out while its candidates are scanned (so it never
-            // meets itself), and put back afterwards.
-            let Some(Con::Clause(sub)) = self.cons[i].take() else {
-                unreachable!("checked to be a clause")
-            };
-            if let Some(rarest) = sub.iter().min_by_key(|l| occ.get(l.code()).len()) {
-                for &j in occ.get(rarest.code()) {
-                    let j = j as usize;
-                    let Some(Con::Clause(sup)) = &self.cons[j] else {
-                        continue;
-                    };
-                    if sup.len() < sub.len() {
-                        continue;
-                    }
-                    budget = budget.saturating_sub((sub.len() + sup.len()) as u64);
-                    if is_subset(&sub, sup) {
-                        self.cons[j] = None;
-                        self.stats.removed_constraints += 1;
-                        changed = true;
-                    }
-                    if budget == 0 {
-                        break;
-                    }
-                }
-            }
-            self.cons[i] = Some(Con::Clause(sub));
+    /// One simplification round: propagation, a sweep over every
+    /// constraint, equivalence merging and, once those change nothing,
+    /// duplicate elimination. Returns whether anything changed.
+    fn round(&mut self) -> Result<bool, Conflict> {
+        self.stats.rounds += 1;
+        let mut changed = self.propagate()?;
+        if self.time_up() {
+            return Ok(false);
         }
-        changed
+        changed |= self.simplify_all()?;
+        changed |= self.propagate()?;
+        if self.time_up() {
+            return Ok(false);
+        }
+        changed |= self.equiv_pass()?;
+        if changed {
+            return Ok(true);
+        }
+        Ok(self.dedup_pass())
     }
-
-    /// Grows at-most-one cliques from pairwise exclusions and replaces the
-    /// covered binary clauses.
-    fn clique_pass(&mut self) -> bool {
-        let n2 = 2 * self.value.len();
-        // Exclusion graph over literal codes, each list ascending.
-        let mut adj: Csr<u32> = Csr::build(n2, |push| {
-            let mut edge = |a: Lit, b: Lit| {
-                push(a.code(), b.code() as u32);
-                push(b.code(), a.code() as u32);
-            };
-            for con in self.cons.iter().flatten() {
-                match con {
-                    Con::Clause(lits) => {
-                        if let [a, b] = lits.as_slice() {
-                            edge(!*a, !*b);
-                        }
-                    }
-                    Con::AtMost(terms, 1)
-                        if terms.len() <= CLIQUE_SEED_LIMIT
-                            && terms.iter().all(|&(a, _)| a == 1) =>
-                    {
-                        for x in 0..terms.len() {
-                            for y in x + 1..terms.len() {
-                                edge(terms[x].1, terms[y].1);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        });
-        adj.sort_dedup();
-        let adjacent = |x: u32, y: u32| adj.get(x as usize).binary_search(&y).is_ok();
-        // Per literal, a list threaded through `links` of the emitted
-        // cliques (by constraint index) that contain it, so a coverage
-        // check walks only those. Allocated with the first clique.
-        const END: u32 = u32::MAX;
-        let mut member_of: Vec<u32> = Vec::new();
-        let mut links: Vec<(u32, u32)> = Vec::new(); // (constraint, next link)
-        let mut clique: Vec<u32> = Vec::new();
-        let mut changed = false;
-        for idx in 0..self.cons.len() {
-            let Some(Con::Clause(lits)) = &self.cons[idx] else {
-                continue;
-            };
-            let [x, y] = lits.as_slice() else {
-                continue;
-            };
-            // The clause forbids a ∧ b.
-            let (a, b) = ((!*x).code() as u32, (!*y).code() as u32);
-            if self.time_up() {
-                break;
-            }
-            let mut link = member_of.get(a as usize).copied().unwrap_or(END);
-            let mut covered = false;
-            while link != END && !covered {
-                let (k, next) = links[link as usize];
-                if let Some(Con::AtMost(terms, _)) = &self.cons[k as usize] {
-                    covered = terms.binary_search_by_key(&b, |&(_, l)| l.0).is_ok();
-                }
-                link = next;
-            }
-            if covered {
-                self.cons[idx] = None;
-                self.stats.removed_constraints += 1;
-                changed = true;
-                continue;
-            }
-            clique.clear();
-            clique.extend([a, b]);
-            intersection(adj.get(a as usize), adj.get(b as usize), |c| {
-                if c != a && c != b && clique.iter().all(|&m| adjacent(c, m)) {
-                    clique.push(c);
-                }
-            });
-            if clique.len() >= 3 {
-                clique.sort_unstable();
-                if member_of.is_empty() {
-                    member_of = vec![END; n2];
-                }
-                let k = self.cons.len() as u32;
-                for &l in &clique {
-                    links.push((k, member_of[l as usize]));
-                    member_of[l as usize] = (links.len() - 1) as u32;
-                }
-                self.cons.push(Some(Con::AtMost(
-                    clique.iter().map(|&l| (1, Lit(l))).collect(),
-                    1,
-                )));
-                self.stats.cliques += 1;
-                self.cons[idx] = None;
-                self.stats.removed_constraints += 1;
-                changed = true;
-            }
-        }
-        changed
-    }
-}
-
-fn is_subset(sub: &[Lit], sup: &[Lit]) -> bool {
-    // Both sorted.
-    let mut it = sup.iter();
-    'outer: for l in sub {
-        for s in it.by_ref() {
-            match s.cmp(l) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => continue 'outer,
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// Failed-literal probing: a counter-based unit propagator with an undo
-/// trail, run over the simplified constraints in place.
-struct Probe<'a> {
-    cons: &'a [Option<Con>],
-    /// Probe constraint id → index into `cons`: clauses get ids
-    /// `0..num_clauses`, at-mosts follow.
-    ids: Vec<u32>,
-    num_clauses: usize,
-    /// Per literal code: `(probe id, coefficient)`, clauses before
-    /// at-mosts; the coefficient is 0 for clauses.
-    occ: Csr<(u32, u64)>,
-    val: Vec<i8>,
-    trail: Vec<Lit>,
-    queue: VecDeque<Lit>,
-    cl_false: Vec<u32>,
-    cl_true: Vec<u32>,
-    am_sum: Vec<u64>,
-    steps: u64,
-    budget: u64,
-    deadline: Option<Instant>,
-    polls: u32,
-}
-
-impl<'a> Probe<'a> {
-    fn new(cons: &'a [Option<Con>], value: &[i8], deadline: Option<Instant>, budget: u64) -> Self {
-        let live = || {
-            cons.iter()
-                .enumerate()
-                .filter_map(|(i, c)| Some((i, c.as_ref()?)))
-        };
-        let mut ids: Vec<u32> = live()
-            .filter(|(_, c)| matches!(c, Con::Clause(_)))
-            .map(|(i, _)| i as u32)
-            .collect();
-        let num_clauses = ids.len();
-        ids.extend(
-            live()
-                .filter(|(_, c)| matches!(c, Con::AtMost(..)))
-                .map(|(i, _)| i as u32),
-        );
-        let occ = Csr::build(2 * value.len(), |push| {
-            for (p, &i) in ids.iter().enumerate() {
-                match &cons[i as usize] {
-                    Some(Con::Clause(lits)) => {
-                        lits.iter().for_each(|l| push(l.code(), (p as u32, 0)))
-                    }
-                    Some(Con::AtMost(terms, _)) => terms
-                        .iter()
-                        .for_each(|&(a, l)| push(l.code(), (p as u32, a))),
-                    None => unreachable!("probe ids name live constraints"),
-                }
-            }
-        });
-        let num_at_most = ids.len() - num_clauses;
-        Probe {
-            cons,
-            ids,
-            num_clauses,
-            occ,
-            val: value.to_vec(),
-            trail: Vec::new(),
-            queue: VecDeque::new(),
-            cl_false: vec![0; num_clauses],
-            cl_true: vec![0; num_clauses],
-            am_sum: vec![0; num_at_most],
-            steps: 0,
-            budget,
-            deadline,
-            polls: 0,
-        }
-    }
-
-    fn clause(&self, c: usize) -> &'a [Lit] {
-        match &self.cons[self.ids[c] as usize] {
-            Some(Con::Clause(lits)) => lits,
-            _ => unreachable!("clause ids name clauses"),
-        }
-    }
-
-    fn at_most(&self, c: usize) -> (&'a [(u64, Lit)], u64) {
-        match &self.cons[self.ids[c] as usize] {
-            Some(Con::AtMost(terms, bound)) => (terms, *bound),
-            _ => unreachable!("at-most ids name at-mosts"),
-        }
-    }
-
-    fn lit_true(&self, l: Lit) -> Option<bool> {
-        match self.val[l.var().index()] {
-            UNASSIGNED => None,
-            v => Some((v == 1) != l.is_negative()),
-        }
-    }
-
-    /// Assigns `l` and propagates. Returns `false` on conflict. Does not
-    /// undo — callers snapshot `trail.len()` and call [`Probe::undo`].
-    ///
-    /// Counter updates for one literal are never interrupted (a conflict
-    /// or exhausted budget takes effect only *between* literals), so the
-    /// trail always matches the counters exactly and `undo` is safe.
-    fn run(&mut self, l: Lit) -> bool {
-        self.queue.clear();
-        self.queue.push_back(l);
-        while let Some(l) = self.queue.pop_front() {
-            match self.lit_true(l) {
-                Some(true) => continue,
-                Some(false) => return false,
-                None => {}
-            }
-            if self.steps >= self.budget {
-                return true; // budget out: treat as "no conflict"
-            }
-            if let Some(d) = self.deadline {
-                self.polls += 1;
-                if self.polls & 0xff == 0 && Instant::now() >= d {
-                    self.budget = 0;
-                    return true;
-                }
-            }
-            self.val[l.var().index()] = if l.is_negative() { 0 } else { 1 };
-            self.trail.push(l);
-            let nc = self.num_clauses;
-            let mut conflict = false;
-            // The literal is now true.
-            for k in 0..self.occ.get(l.code()).len() {
-                let (c, coeff) = self.occ.get(l.code())[k];
-                let c = c as usize;
-                self.steps += 1;
-                if c < nc {
-                    self.cl_true[c] += 1;
-                } else {
-                    let a = c - nc;
-                    self.am_sum[a] += coeff;
-                    let (terms, bound) = self.at_most(c);
-                    if self.am_sum[a] > bound {
-                        conflict = true;
-                    } else if !conflict {
-                        let slack = bound - self.am_sum[a];
-                        for &(w, t) in terms {
-                            if w > slack && self.lit_true(t).is_none() {
-                                self.queue.push_back(!t);
-                            }
-                        }
-                        self.steps += terms.len() as u64;
-                    }
-                }
-            }
-            // Its negation is now false. (A false literal in an at-most
-            // only loosens it; only clauses can propagate here.)
-            let neg = (!l).code();
-            for k in 0..self.occ.get(neg).len() {
-                let (c, _) = self.occ.get(neg)[k];
-                let c = c as usize;
-                self.steps += 1;
-                if c < nc {
-                    self.cl_false[c] += 1;
-                    if conflict || self.cl_true[c] > 0 {
-                        continue;
-                    }
-                    let lits = self.clause(c);
-                    let len = lits.len() as u32;
-                    if self.cl_false[c] == len {
-                        conflict = true;
-                    } else if self.cl_false[c] == len - 1 {
-                        if let Some(&u) = lits.iter().find(|t| self.lit_true(**t).is_none()) {
-                            self.queue.push_back(u);
-                        }
-                        self.steps += u64::from(len);
-                    }
-                }
-            }
-            if conflict {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn undo(&mut self, mark: usize) {
-        let nc = self.num_clauses;
-        while self.trail.len() > mark {
-            let l = self.trail.pop().expect("trail above mark");
-            self.val[l.var().index()] = UNASSIGNED;
-            for &(c, coeff) in self.occ.get(l.code()) {
-                let c = c as usize;
-                if c < nc {
-                    self.cl_true[c] -= 1;
-                } else {
-                    self.am_sum[c - nc] -= coeff;
-                }
-            }
-            for &(c, _) in self.occ.get((!l).code()) {
-                let c = c as usize;
-                if c < nc {
-                    self.cl_false[c] -= 1;
-                }
-            }
-        }
-    }
-}
-
-/// Runs the probing phase. Returns the root-fixed literals, or `Err` when
-/// both polarities of some variable fail (the model is infeasible).
-fn probe_phase(work: &mut Work, budget: u64) -> Result<Vec<Lit>, Conflict> {
-    let mut probe = Probe::new(&work.cons, &work.value, work.deadline, budget);
-    // Highest-occurrence variables first: their assignments propagate the
-    // furthest, so a failed literal prunes the most.
-    let n = work.value.len();
-    let mut order: Vec<(usize, usize)> = (0..n)
-        .filter(|&v| probe.val[v] == UNASSIGNED)
-        .map(|v| {
-            (
-                probe.occ.get(2 * v).len() + probe.occ.get(2 * v + 1).len(),
-                v,
-            )
-        })
-        .filter(|&(occ, _)| occ > 0)
-        .collect();
-    order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-    let mut fixed: Vec<Lit> = Vec::new();
-    for (_, v) in order {
-        if probe.steps >= probe.budget {
-            break;
-        }
-        if probe.val[v] != UNASSIGNED {
-            continue;
-        }
-        work.stats.probed_vars += 1;
-        for lit in [Lit::positive(Var(v as u32)), Lit::negative(Var(v as u32))] {
-            if probe.val[v] != UNASSIGNED {
-                break;
-            }
-            let mark = probe.trail.len();
-            let ok = probe.run(lit);
-            probe.undo(mark);
-            if !ok {
-                // `lit` fails: ¬lit holds at the root. The root-level
-                // propagation is kept on the trail (not undone), so later
-                // probes run against the strengthened root state.
-                work.stats.failed_literals += 1;
-                if !probe.run(!lit) {
-                    return Err(Conflict);
-                }
-                fixed.extend_from_slice(&probe.trail[fixed.len()..]);
-            }
-        }
-    }
-    Ok(fixed)
 }
 
 /// Presolves `model` into an equivalent reduced model.
 ///
-/// The reduction is deterministic: the same model and configuration always
-/// produce the same reduced model, so the portfolio's "presolve once,
-/// share across workers" scheme keeps `threads = 1` runs reproducible.
-pub fn presolve(model: &Model, config: &PresolveConfig) -> Presolved {
+/// `deadline` is shared with the solver: presolve time counts against the
+/// solve budget, and every pass polls it. Once it passes, the passes wind
+/// down and the (still sound) partly reduced model is emitted. Short of
+/// that, the reduction is deterministic: the same model always produces
+/// the same reduced model, so the portfolio's "presolve once, share
+/// across workers" scheme keeps `threads = 1` runs reproducible.
+pub fn presolve(model: &Model, deadline: Option<Instant>) -> Presolved {
     let start = Instant::now();
     let n = model.num_vars();
-    let mut work = Work::new(n, config.deadline);
+    let mut work = Work::new(n, deadline);
     work.stats.vars_before = n as u64;
     work.stats.constraints_before = model.constraints().len() as u64;
 
@@ -1382,50 +931,11 @@ pub fn presolve(model: &Model, config: &PresolveConfig) -> Presolved {
         }
     }
 
-    // Main simplification loop.
-    let mut probed = false;
     loop {
-        let round_result = (|| -> Result<bool, Conflict> {
-            work.stats.rounds += 1;
-            let mut changed = work.propagate()?;
-            if work.time_up() {
-                return Ok(false);
-            }
-            changed |= work.simplify_all()?;
-            changed |= work.propagate()?;
-            if work.time_up() {
-                return Ok(false);
-            }
-            changed |= work.equiv_pass()?;
-            if changed {
-                return Ok(true);
-            }
-            changed |= work.dedup_pass();
-            changed |= work.subsume_pass();
-            changed |= work.clique_pass();
-            Ok(changed)
-        })();
-        match round_result {
+        match work.round() {
             Err(Conflict) => return infeasible(work.stats, start),
-            Ok(true) if work.stats.rounds < MAX_ROUNDS && !work.out_of_time => continue,
-            Ok(_) => {}
-        }
-        let too_small = model.num_vars() < config.probe_min_vars;
-        if probed || config.probe_budget == 0 || too_small || work.out_of_time {
-            break;
-        }
-        probed = true;
-        match probe_phase(&mut work, config.probe_budget) {
-            Err(Conflict) => return infeasible(work.stats, start),
-            Ok(fixed) => {
-                if fixed.is_empty() {
-                    break;
-                }
-                for l in fixed {
-                    work.enqueue(l);
-                }
-                // Loop once more to apply the probe fixings.
-            }
+            Ok(true) if work.stats.rounds < MAX_ROUNDS && !work.out_of_time => {}
+            Ok(_) => break,
         }
     }
 
@@ -1513,9 +1023,9 @@ fn emit(model: &Model, work: &mut Work) -> Result<(Model, Reconstruction), Confl
     }
     // A representative constrained by nothing is free: fix it to its
     // objective-preferred polarity (false when indifferent). This is sound
-    // for feasibility and preserves the optimum — but unlike unit/probing
-    // fixings it is a *choice*, not an entailment, which `Reconstruction`
-    // must remember for assumption mapping.
+    // for feasibility and preserves the optimum — but unlike unit fixings
+    // it is a *choice*, not an entailment, which `Reconstruction` must
+    // remember for assumption mapping.
     let mut free_fixed = vec![false; n];
     for (v, &occ) in occurs.iter().enumerate() {
         let var = Var(v as u32);
@@ -1635,7 +1145,7 @@ mod tests {
         for w in vs.windows(2) {
             m.add_implies(w[0].lit(), w[1].lit());
         }
-        let p = presolve(&m, &PresolveConfig::default());
+        let p = presolve(&m, None);
         let (red, recon, stats) = reduced(&p);
         assert_eq!(red.num_vars(), 0);
         assert_eq!(stats.fixed_vars, 5);
@@ -1656,7 +1166,7 @@ mod tests {
         // trivially: a ∨ d.
         let d = m.new_var();
         m.add_clause([a.lit(), d.lit()]);
-        let p = presolve(&m, &PresolveConfig::default());
+        let p = presolve(&m, None);
         let (red, recon, stats) = reduced(&p);
         assert!(stats.aliased_vars >= 2, "{stats:?}");
         assert!(red.num_vars() <= 2);
@@ -1668,98 +1178,16 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_and_subsumed_clauses_removed() {
+    fn duplicate_clauses_removed() {
         let mut m = Model::new();
         let vs = m.new_vars(4);
         m.add_clause([vs[0].lit(), vs[1].lit()]);
         m.add_clause([vs[0].lit(), vs[1].lit()]); // duplicate
-        m.add_clause([vs[0].lit(), vs[1].lit(), vs[2].lit()]); // subsumed
         m.add_clause([vs[2].lit(), vs[3].lit()]);
-        let p = presolve(&m, &PresolveConfig::default());
+        let p = presolve(&m, None);
         let (red, _, stats) = reduced(&p);
-        assert!(stats.removed_constraints >= 2, "{stats:?}");
+        assert_eq!(stats.removed_constraints, 1, "{stats:?}");
         assert_eq!(red.constraints().len(), 2);
-    }
-
-    #[test]
-    fn clique_detection_builds_at_most_one() {
-        let mut m = Model::new();
-        let vs = m.new_vars(4);
-        // Pairwise exclusion between all four variables, as binary
-        // clauses: should collapse into a single at-most-one.
-        for i in 0..4 {
-            for j in i + 1..4 {
-                m.add_clause([!vs[i].lit(), !vs[j].lit()]);
-            }
-        }
-        // Anchor so the variables stay constrained.
-        m.add_clause(vs.iter().map(|v| v.lit()));
-        let p = presolve(&m, &PresolveConfig::default());
-        let (red, _, stats) = reduced(&p);
-        assert!(stats.cliques >= 1, "{stats:?}");
-        assert!(
-            red.constraints().len() <= 3,
-            "{} constraints left",
-            red.constraints().len()
-        );
-    }
-
-    #[test]
-    fn probing_fixes_forced_variable() {
-        let mut m = Model::new();
-        let x = m.new_var();
-        let y = m.new_var();
-        let z = m.new_var();
-        // x → y, x → ¬y: probing x=true conflicts, so x is fixed false.
-        m.add_implies(x.lit(), y.lit());
-        m.add_implies(x.lit(), !y.lit());
-        m.add_clause([x.lit(), z.lit()]); // then z is forced true
-        let cfg = PresolveConfig {
-            probe_min_vars: 0, // the model is tiny; probe it anyway
-            ..PresolveConfig::default()
-        };
-        let p = presolve(&m, &cfg);
-        let (red, recon, stats) = reduced(&p);
-        assert!(stats.failed_literals >= 1, "{stats:?}");
-        assert_eq!(red.num_vars(), 0, "everything should collapse");
-        let full = recon.expand(&Assignment::from_values(vec![]));
-        assert!(!full.value(x));
-        assert!(full.value(z));
-    }
-
-    #[test]
-    fn probing_both_polarities_failing_is_infeasible() {
-        let mut m = Model::new();
-        let x = m.new_var();
-        let y = m.new_var();
-        m.add_implies(x.lit(), y.lit());
-        m.add_implies(x.lit(), !y.lit());
-        m.add_implies(!x.lit(), y.lit());
-        m.add_implies(!x.lit(), !y.lit());
-        let cfg = PresolveConfig {
-            probe_min_vars: 0,
-            ..PresolveConfig::default()
-        };
-        let p = presolve(&m, &cfg);
-        assert!(matches!(p, Presolved::Infeasible { .. }));
-    }
-
-    #[test]
-    fn small_models_skip_probing_by_default() {
-        // Same forced-variable shape as probing_fixes_forced_variable,
-        // but under the default config the model is far below
-        // `probe_min_vars`, so the probe pass must not run at all.
-        let mut m = Model::new();
-        let x = m.new_var();
-        let y = m.new_var();
-        let z = m.new_var();
-        m.add_implies(x.lit(), y.lit());
-        m.add_implies(x.lit(), !y.lit());
-        m.add_clause([x.lit(), z.lit()]);
-        let p = presolve(&m, &PresolveConfig::default());
-        let (_, _, stats) = reduced(&p);
-        assert_eq!(stats.probed_vars, 0, "{stats:?}");
-        assert_eq!(stats.failed_literals, 0, "{stats:?}");
     }
 
     #[test]
@@ -1771,7 +1199,7 @@ mod tests {
         obj.add_term(3, a);
         obj.add_term(-2, b);
         m.minimize(obj);
-        let p = presolve(&m, &PresolveConfig::default());
+        let p = presolve(&m, None);
         let (red, recon, _) = reduced(&p);
         assert_eq!(red.num_vars(), 0);
         assert_eq!(red.objective().map(|o| o.constant()), Some(-2));
@@ -1786,10 +1214,7 @@ mod tests {
         let x = m.new_var();
         m.fix(x, true);
         m.fix(x, false);
-        assert!(matches!(
-            presolve(&m, &PresolveConfig::default()),
-            Presolved::Infeasible { .. }
-        ));
+        assert!(matches!(presolve(&m, None), Presolved::Infeasible { .. }));
     }
 
     #[test]
@@ -1799,11 +1224,7 @@ mod tests {
         for w in vs.windows(2) {
             m.add_clause([w[0].lit(), w[1].lit()]);
         }
-        let cfg = PresolveConfig {
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            ..PresolveConfig::default()
-        };
-        let p = presolve(&m, &cfg);
+        let p = presolve(&m, Some(Instant::now() - Duration::from_millis(1)));
         let (red, recon, _) = reduced(&p);
         // Nothing is guaranteed to be reduced, but the model must still be
         // equivalent: expanding any solution must satisfy the original.
@@ -1837,11 +1258,7 @@ mod tests {
         for w in ys.windows(2) {
             m.add_clause([!x.lit(), w[0].lit(), w[1].lit()]);
         }
-        let cfg = PresolveConfig {
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            ..PresolveConfig::default()
-        };
-        let p = presolve(&m, &cfg);
+        let p = presolve(&m, Some(Instant::now() - Duration::from_millis(1)));
         let (red, _, _) = reduced(&p);
         assert_eq!(red.constraints().len(), 2999);
         assert!(red.constraints().iter().all(|c| c.expr.terms().len() == 2));
@@ -1868,7 +1285,7 @@ mod tests {
                 m.add_clause([z, !px, !py]);
             }
         }
-        let p = presolve(&m, &PresolveConfig::default());
+        let p = presolve(&m, None);
         let (_, _, stats) = reduced(&p);
         assert_eq!(stats.rounds, MAX_ROUNDS, "{stats:?}");
         assert_expands_soundly(&m, &p);

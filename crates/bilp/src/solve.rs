@@ -18,9 +18,7 @@ use crate::engine::{Budget, Engine, EngineFeatures, EngineStats, SatResult};
 use crate::model::{Cmp, Constraint, LinExpr, Lit, Model, Var};
 use crate::normalize::{normalize, NormConstraint};
 use crate::portfolio::{self, Race};
-use crate::presolve::{
-    presolve, LitDisposition, PresolveConfig, PresolveStats, Presolved, Reconstruction,
-};
+use crate::presolve::{presolve, LitDisposition, PresolveStats, Presolved, Reconstruction};
 use crate::proof::{Certificate, ProofLog, ProofOrigin};
 use std::fmt;
 use std::sync::atomic::AtomicBool;
@@ -90,13 +88,11 @@ pub struct SolverConfig {
     /// it). With `threads = 1` the seed only matters if
     /// `features.random_tiebreak` is enabled.
     pub seed: u64,
-    /// Run the presolve pipeline before search (see [`mod@crate::presolve`]).
-    /// When `false`, solving follows the exact pre-presolve code path.
-    /// Defaults to `true`.
+    /// Run the presolve pipeline (propagation, saturation, equivalence
+    /// merging, duplicate removal; see [`mod@crate::presolve`]) before
+    /// search. When `false`, solving follows the exact pre-presolve code
+    /// path. Defaults to `true`.
     pub presolve: bool,
-    /// Propagation-step budget for failed-literal probing inside presolve;
-    /// `0` disables probing (the cheap passes still run).
-    pub presolve_probe_budget: u64,
     /// Certify `Infeasible` verdicts: replay the solve with proof logging
     /// and have the independent RUP checker ([`crate::checker`]) re-derive
     /// the contradiction. The resulting [`Certificate`] is available from
@@ -132,7 +128,6 @@ impl Default for SolverConfig {
             threads: 1,
             seed: 0,
             presolve: true,
-            presolve_probe_budget: PresolveConfig::default().probe_budget,
             certify: false,
             mem_limit: None,
             probe_workers: 0,
@@ -1085,12 +1080,7 @@ impl<'p> IncrementalSolver<'p> {
         };
         let mut facts = Vec::new();
         let presolved = if config.presolve {
-            let pcfg = PresolveConfig {
-                probe_budget: config.presolve_probe_budget,
-                deadline,
-                ..PresolveConfig::default()
-            };
-            match presolve(model, &pcfg) {
+            match presolve(model, deadline) {
                 Presolved::Infeasible { stats: ps } => {
                     stats.presolve = ps;
                     None

@@ -116,8 +116,8 @@ pub struct MapperOptions {
     /// *solution* is returned may differ.
     pub threads: usize,
     /// Whether the ILP solver runs its presolve pipeline (propagation,
-    /// saturation, equivalence merging, probing, …) before search. On by
-    /// default; turning it off reproduces the pre-presolve solver
+    /// saturation, equivalence merging, duplicate removal) before search.
+    /// On by default; turning it off reproduces the pre-presolve solver
     /// behaviour bit for bit.
     pub presolve: bool,
     /// Whether formulation construction applies the MRRG reachability

@@ -101,21 +101,7 @@ impl MinIiTotals {
     fn absorb(&mut self, report: &MapReport) {
         self.conflicts += report.solver.engine.conflicts;
         self.decisions += report.solver.engine.decisions;
-        let p = &report.solver.presolve;
-        let t = &mut self.presolve;
-        t.vars_before += p.vars_before;
-        t.vars_after += p.vars_after;
-        t.constraints_before += p.constraints_before;
-        t.constraints_after += p.constraints_after;
-        t.fixed_vars += p.fixed_vars;
-        t.aliased_vars += p.aliased_vars;
-        t.removed_constraints += p.removed_constraints;
-        t.strengthened += p.strengthened;
-        t.cliques += p.cliques;
-        t.probed_vars += p.probed_vars;
-        t.failed_literals += p.failed_literals;
-        t.rounds += p.rounds;
-        t.elapsed += p.elapsed;
+        self.presolve += report.solver.presolve;
     }
 }
 
@@ -560,7 +546,11 @@ mod tests {
 
     #[test]
     fn optimize_mode_still_finds_min_ii_and_optimal_usage() {
-        // Small enough that the optimisation stage proves optimality fast.
+        // Feasibility is quick, but proving the routing optimum takes 17
+        // queries and 299,472 conflicts, 140,637 of them in the final
+        // refutation. A per-query conflict budget of over 3x that bounds
+        // the work deterministically, so a slow or loaded host cannot
+        // fail the test.
         let arch = grid(GridParams {
             rows: 2,
             cols: 2,
@@ -582,7 +572,8 @@ mod tests {
         dfg.connect(s, o, 0).unwrap();
         let options = MapperOptions {
             optimize: true,
-            time_limit: Some(std::time::Duration::from_secs(60)),
+            time_limit: None,
+            conflict_limit: Some(500_000),
             ..MapperOptions::default()
         };
         let report = map_min_ii(&dfg, &arch, options, 2);

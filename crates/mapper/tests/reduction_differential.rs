@@ -160,7 +160,7 @@ fn reduction_shrinks_the_formulation() {
 
     // The acceptance bar: reach + presolve vs the unreduced model.
     let raw_size = off.model().num_vars() + off.model().constraints().len();
-    let presolved_size = match bilp::presolve(on.model(), &bilp::PresolveConfig::default()) {
+    let presolved_size = match bilp::presolve(on.model(), None) {
         bilp::Presolved::Reduced { stats, .. } => {
             (stats.vars_after + stats.constraints_after) as usize
         }

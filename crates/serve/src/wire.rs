@@ -957,9 +957,6 @@ counter_table!(PresolveStats {
     aliased_vars:        "aliased_vars",        strict;
     removed_constraints: "removed_constraints", strict;
     strengthened:        "strengthened",        strict;
-    cliques:             "cliques",             strict;
-    probed_vars:         "probed_vars",         strict;
-    failed_literals:     "failed_literals",     strict;
     rounds:              "rounds",              strict;
     elapsed:             "elapsed_us",          strict;
 });

@@ -490,9 +490,6 @@ fn presolve_stats(base: u64) -> PresolveStats {
         aliased_vars: base + 6,
         removed_constraints: base + 7,
         strengthened: base + 8,
-        cliques: base + 9,
-        probed_vars: base + 10,
-        failed_literals: base + 11,
         rounds: base as u32 + 12,
         elapsed: Duration::from_micros(base + 13),
     }
@@ -703,8 +700,8 @@ fn truncate(text: &str) -> String {
     }
 }
 
-const MAP_REPORT_DIGEST: u64 = 0xcb4e9ce07e6d012d;
-const MIN_II_REPORT_DIGEST: u64 = 0x19fe51aa50c66997;
+const MAP_REPORT_DIGEST: u64 = 0x7af4c54654348887;
+const MIN_II_REPORT_DIGEST: u64 = 0xcad1cc16545af076;
 
 #[rustfmt::skip]
 const MAP_REMOVAL_GOLDEN: &[(&str, &str)] = &[
@@ -750,9 +747,6 @@ const MAP_REMOVAL_GOLDEN: &[(&str, &str)] = &[
     ("solver.presolve.aliased_vars", "error request: missing integer field `aliased_vars`"),
     ("solver.presolve.removed_constraints", "error request: missing integer field `removed_constraints`"),
     ("solver.presolve.strengthened", "error request: missing integer field `strengthened`"),
-    ("solver.presolve.cliques", "error request: missing integer field `cliques`"),
-    ("solver.presolve.probed_vars", "error request: missing integer field `probed_vars`"),
-    ("solver.presolve.failed_literals", "error request: missing integer field `failed_literals`"),
     ("solver.presolve.rounds", "error request: missing integer field `rounds`"),
     ("solver.presolve.elapsed_us", "error request: missing integer field `elapsed_us`"),
     ("solver.worker_panics", "error request: missing integer field `worker_panics`"),
@@ -777,9 +771,6 @@ const MIN_II_REMOVAL_GOLDEN: &[(&str, &str)] = &[
     ("totals.presolve.aliased_vars", "error request: missing integer field `aliased_vars`"),
     ("totals.presolve.removed_constraints", "error request: missing integer field `removed_constraints`"),
     ("totals.presolve.strengthened", "error request: missing integer field `strengthened`"),
-    ("totals.presolve.cliques", "error request: missing integer field `cliques`"),
-    ("totals.presolve.probed_vars", "error request: missing integer field `probed_vars`"),
-    ("totals.presolve.failed_literals", "error request: missing integer field `failed_literals`"),
     ("totals.presolve.rounds", "error request: missing integer field `rounds`"),
     ("totals.presolve.elapsed_us", "error request: missing integer field `elapsed_us`"),
 ];

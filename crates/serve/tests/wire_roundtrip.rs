@@ -170,6 +170,80 @@ fn min_ii_report_roundtrips() {
     }
 }
 
+/// Puts back the presolve counters of the clique and probing passes
+/// (`cliques`, `probed_vars`, `failed_literals`) into every `presolve`
+/// object of `doc`, after `strengthened`, where reports encoded before
+/// those passes were removed carry them, as cache segments still hold
+/// them.
+fn with_retired_presolve_counters(doc: &Json) -> Json {
+    match doc {
+        Json::Object(members) => Json::Object(
+            members
+                .iter()
+                .map(|(key, v)| {
+                    let mut v = with_retired_presolve_counters(v);
+                    if key == "presolve" {
+                        let Json::Object(counters) = &mut v else {
+                            panic!("`presolve` is an object");
+                        };
+                        let at = 1 + counters
+                            .iter()
+                            .position(|(k, _)| k == "strengthened")
+                            .expect("presolve counters name `strengthened`");
+                        let retired =
+                            [("cliques", 2), ("probed_vars", 512), ("failed_literals", 3)];
+                        counters.splice(at..at, retired.map(|(k, n)| (k.to_owned(), Json::Int(n))));
+                    }
+                    (key.clone(), v)
+                })
+                .collect(),
+        ),
+        Json::Array(items) => {
+            Json::Array(items.iter().map(with_retired_presolve_counters).collect())
+        }
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn reports_with_retired_presolve_counters_still_decode() {
+    let arch = homo_diag();
+    let mrrg = cgra_mrrg::build_mrrg(&arch, 1);
+    let dfg = kernel("accum");
+    let current = encode_map_report(
+        &dfg,
+        &mrrg,
+        &IlpMapper::new(quick_options()).map(&dfg, &mrrg),
+    );
+    let old = with_retired_presolve_counters(&current);
+    assert!(old
+        .to_string()
+        .contains("\"cliques\":2,\"probed_vars\":512,"));
+    let from_old = decode_map_report(&dfg, &mrrg, &old).expect("an old map report decodes");
+    let from_current = decode_map_report(&dfg, &mrrg, &current).expect("decodes");
+    assert_eq!(from_old.solver.presolve, from_current.solver.presolve);
+    assert_eq!(
+        encode_map_report(&dfg, &mrrg, &from_old).to_string(),
+        current.to_string()
+    );
+
+    let session = Session::new(arch, quick_options());
+    let current = encode_min_ii_report(&dfg, &session.min_ii(&dfg, 2), |ii| session.mrrg(ii));
+    let old = with_retired_presolve_counters(&current);
+    let from_old = decode_min_ii_report(&dfg, &old, |ii| session.mrrg(ii))
+        .expect("an old min-II report decodes");
+    let from_current =
+        decode_min_ii_report(&dfg, &current, |ii| session.mrrg(ii)).expect("decodes");
+    assert_eq!(from_old.totals.presolve, from_current.totals.presolve);
+    for (a, b) in from_old.attempts.iter().zip(&from_current.attempts) {
+        assert_eq!(a.report.solver.presolve, b.report.solver.presolve);
+    }
+    assert_eq!(
+        encode_min_ii_report(&dfg, &from_old, |ii| session.mrrg(ii)).to_string(),
+        current.to_string()
+    );
+}
+
 #[test]
 fn options_roundtrip_every_field() {
     let full = MapperOptions {
