@@ -19,8 +19,8 @@
 //!
 //! `--smoke` is the CI path: byte-identical miss → hit replay, a
 //! K-identical-requests coalescing assertion (exactly one solve),
-//! pipelined warm replays, graceful shutdown, and post-shutdown
-//! rejection. Solver threads are pinned to 1 so core oversubscription
+//! pipelined warm replays answered from the line memo although each
+//! carries its own id, graceful shutdown, and post-shutdown rejection. Solver threads are pinned to 1 so core oversubscription
 //! on small CI hosts cannot pollute the verdict signal. With
 //! `--connect` it drives an externally started daemon (assertions use
 //! counter deltas, so a warm daemon is fine); otherwise it spins one up
@@ -318,6 +318,15 @@ fn run_smoke(connect: Option<&str>, time_limit: Duration) {
                     1 + SMOKE_PIPELINE
                 ));
             }
+            // Each pipelined replay carries its own id (`wp-{i}`); only
+            // the line memo's id excision lets them skip the JSON parse.
+            let memo_delta = stat_u64(&stats.result, "memo_hits")
+                .saturating_sub(stat_u64(&stats_before, "memo_hits"));
+            if memo_delta < SMOKE_PIPELINE as u64 {
+                failures.push(format!(
+                    "expected at least {SMOKE_PIPELINE} line-memo hits, counters say {memo_delta}"
+                ));
+            }
             let reactor_conns = stats
                 .result
                 .get("connections_accepted")
@@ -355,7 +364,7 @@ fn run_smoke(connect: Option<&str>, time_limit: Duration) {
     if failures.is_empty() {
         println!(
             "serve-smoke OK: miss -> hit, {SMOKE_WAITERS} waiters -> 1 solve, \
-             {SMOKE_PIPELINE} pipelined byte-identical replays, graceful shutdown",
+             {SMOKE_PIPELINE} pipelined byte-identical memo replays, graceful shutdown",
         );
     } else {
         for f in &failures {

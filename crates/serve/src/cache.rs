@@ -53,29 +53,6 @@ pub fn request_key(
     h.finish()
 }
 
-/// The raw-text fast key: a digest over the *unparsed* request texts.
-/// Identical raw texts imply identical content hashes (the content
-/// hash is a pure function of the parsed graph), so a memo from this
-/// key to [`request_key`] lets the hot path skip graph parsing
-/// entirely. The converse does not hold — differently-formatted texts
-/// of the same graph get distinct raw keys and simply take the slow
-/// (parse + content-hash) path once each.
-pub fn raw_request_key(
-    cmd: &str,
-    dfg_text: &str,
-    arch_text: &str,
-    ii: u32,
-    options: &MapperOptions,
-) -> u64 {
-    let mut h = ContentHasher::new("cgra-serve-raw");
-    h.write_str(cmd);
-    h.write_str(dfg_text);
-    h.write_str(arch_text);
-    h.write_u64(ii as u64);
-    h.write_u64(options_fingerprint(options));
-    h.finish()
-}
-
 struct Entry {
     text: String,
     last_used: u64,
@@ -242,9 +219,9 @@ impl ResultCache {
     }
 }
 
-/// A bounded LRU of values keyed by `u64` content hashes — used for the
+/// A bounded LRU of values keyed by `u64` hashes — used for the
 /// per-architecture [`Session`](cgra_mapper::Session) pool and the
-/// raw-text key memo.
+/// service's line memo (request line minus its `id` -> content key).
 #[derive(Debug)]
 pub struct LruMap<V> {
     entries: HashMap<u64, (V, u64)>,
@@ -333,35 +310,6 @@ mod tests {
         o.threads = 4;
         assert_ne!(reference, k("map", 1, 2, 1, &o));
         assert_eq!(reference, k("map", 1, 2, 1, &base));
-    }
-
-    #[test]
-    fn raw_key_separates_texts_and_options() {
-        let base = MapperOptions::default();
-        let reference = raw_request_key("map", "dfg-a", "arch-a", 1, &base);
-        assert_eq!(
-            reference,
-            raw_request_key("map", "dfg-a", "arch-a", 1, &base)
-        );
-        assert_ne!(
-            reference,
-            raw_request_key("min_ii", "dfg-a", "arch-a", 1, &base)
-        );
-        assert_ne!(
-            reference,
-            raw_request_key("map", "dfg-b", "arch-a", 1, &base)
-        );
-        assert_ne!(
-            reference,
-            raw_request_key("map", "dfg-a", "arch-b", 1, &base)
-        );
-        assert_ne!(
-            reference,
-            raw_request_key("map", "dfg-a", "arch-a", 2, &base)
-        );
-        let mut o = base;
-        o.seed = 3;
-        assert_ne!(reference, raw_request_key("map", "dfg-a", "arch-a", 1, &o));
     }
 
     #[test]

@@ -129,6 +129,47 @@ impl Json {
     }
 }
 
+/// Splits an object document around the value of its first top-level
+/// member named `key`, without building the document: returns the text
+/// before the value's string token, the decoded value, and the text
+/// after the token. First match wins, as in [`Json::get`]; nested
+/// objects are skipped whole, so an inner member of the same name never
+/// matches.
+///
+/// `None` when the text is not an object, has no such member, holds an
+/// escaped member name before it (an escape could spell `key`), gives
+/// the member a non-string value, or is malformed where the scan looks.
+/// The scan skips other values without validating them; the value
+/// itself goes through the full string decoder.
+pub fn split_string_member<'a>(text: &'a str, key: &str) -> Option<(&'a str, String, &'a str)> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    p.expect(b'{').ok()?;
+    loop {
+        p.skip_ws();
+        let start = p.pos;
+        p.skip_string()?;
+        let name = &text.as_bytes()[start + 1..p.pos - 1];
+        if name.contains(&b'\\') {
+            return None;
+        }
+        p.skip_ws();
+        p.expect(b':').ok()?;
+        p.skip_ws();
+        if name == key.as_bytes() {
+            let start = p.pos;
+            let value = p.string().ok()?;
+            return Some((&text[..start], value, &text[p.pos..]));
+        }
+        p.skip_value()?;
+        p.skip_ws();
+        p.expect(b',').ok()?;
+    }
+}
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -352,6 +393,42 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Steps over one value without decoding it: strings are skipped
+    /// with their escapes and brackets are counted, so a nested value of
+    /// any depth costs no recursion and no allocation.
+    fn skip_value(&mut self) -> Option<()> {
+        let mut depth = 0usize;
+        loop {
+            match self.peek()? {
+                b'"' => self.skip_string()?,
+                b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r' if depth == 0 => return Some(()),
+                b'{' | b'[' => {
+                    depth += 1;
+                    self.pos += 1;
+                }
+                b'}' | b']' => {
+                    depth -= 1;
+                    self.pos += 1;
+                }
+                _ => self.pos += 1,
+            }
+        }
+    }
+
+    /// Steps over a string token, escapes included, without decoding it.
+    fn skip_string(&mut self) -> Option<()> {
+        self.expect(b'"').ok()?;
+        loop {
+            let rest = self.bytes.get(self.pos..)?;
+            let i = rest.iter().position(|&c| c == b'"' || c == b'\\')?;
+            self.pos += i + 1;
+            if rest[i] == b'"' {
+                return Some(());
+            }
+            self.pos += 1; // the escaped byte
+        }
+    }
+
     fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
         let c = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
         self.pos += 1;
@@ -527,6 +604,37 @@ mod tests {
             "nan",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn split_string_member_agrees_with_the_parser() {
+        for doc in [
+            r#"{"id":"a","cmd":"x"}"#,
+            r#" { "cmd" : "x" , "id" : "aé\"b" } "#,
+            r#"{"options":{"id":"inner","n":[1,{"id":2},"]}"]},"n":-1.5e3,"id":"outer"}"#,
+            r#"{"t":true,"z":null,"s":"\\\"","id":"first","id":"second"}"#,
+            "{\"id\":\"caf\u{e9} \u{1F600}\"}",
+        ] {
+            let (before, value, after) = split_string_member(doc, "id").expect(doc);
+            let parsed = Json::parse(doc).unwrap();
+            assert_eq!(
+                Some(value.as_str()),
+                parsed.get("id").and_then(Json::as_str)
+            );
+            let token = &doc[before.len()..doc.len() - after.len()];
+            assert_eq!(Json::parse(token).unwrap(), Json::Str(value), "{doc}");
+        }
+        for doc in [
+            r#"["id","a"]"#,
+            r#"{"cmd":"x"}"#,
+            r#"{"id":5,"cmd":"x"}"#,
+            r#"{"\u0069d":"a","id":"b"}"#,
+            "{\"id\":\"a\u{1}b\"}",
+            r#"{"id":"a"#,
+            r#"{"cmd":"x" "id":"a"}"#,
+        ] {
+            assert_eq!(split_string_member(doc, "id"), None, "{doc}");
         }
     }
 

@@ -95,10 +95,38 @@ impl Shared {
     }
 }
 
+/// NDJSON frame reassembly that looks at each byte once. `scanned`
+/// marks how far the buffer is known to hold no newline, so a frame
+/// that arrives over many reads is never searched again from its start;
+/// frames are handed out in place and their bytes dropped once per
+/// read, not once per frame.
+#[derive(Default)]
+struct Framer {
+    buf: Vec<u8>,
+    scanned: usize,
+}
+
+impl Framer {
+    /// Appends `bytes` and passes each frame they complete to `each`,
+    /// without its newline.
+    fn feed(&mut self, bytes: &[u8], mut each: impl FnMut(&[u8])) {
+        self.buf.extend_from_slice(bytes);
+        let mut start = 0;
+        while let Some(i) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let end = self.scanned + i;
+            each(&self.buf[start..end]);
+            start = end + 1;
+            self.scanned = start;
+        }
+        self.buf.drain(..start);
+        self.scanned = self.buf.len();
+    }
+}
+
 struct Conn {
     stream: TcpStream,
     gen: u64,
-    inbuf: Vec<u8>,
+    inbuf: Framer,
     outbuf: VecDeque<u8>,
     /// Requests dispatched whose responses have not yet reached
     /// `outbuf`. The connection must outlive them.
@@ -332,7 +360,7 @@ fn accept_all(
                 conns[slot] = Some(Conn {
                     stream,
                     gen,
-                    inbuf: Vec::new(),
+                    inbuf: Framer::default(),
                     outbuf: VecDeque::new(),
                     outstanding: 0,
                     next_dispatch: 0,
@@ -382,11 +410,10 @@ fn read_conn(
                 if conn.poisoned {
                     continue; // discard: the client blew the frame cap
                 }
-                conn.inbuf.extend_from_slice(&chunk[..n]);
-                dispatch_frames(service, shared, conn, token, stats);
-                if conn.inbuf.len() > MAX_FRAME {
+                dispatch_frames(service, shared, conn, &chunk[..n], token, stats);
+                if conn.inbuf.buf.len() > MAX_FRAME {
                     conn.poisoned = true;
-                    conn.inbuf = Vec::new();
+                    conn.inbuf = Framer::default();
                     let err = wire::error_response(
                         None,
                         &WireError::new(
@@ -418,16 +445,16 @@ fn dispatch_frames(
     service: &Arc<Service>,
     shared: &Arc<Shared>,
     conn: &mut Conn,
+    bytes: &[u8],
     token: u64,
     stats: &ReactorStats,
 ) {
-    while let Some(pos) = conn.inbuf.iter().position(|&b| b == b'\n') {
-        let frame: Vec<u8> = conn.inbuf.drain(..=pos).collect();
+    conn.inbuf.feed(bytes, |frame| {
         stats.frames.fetch_add(1, Ordering::Relaxed);
-        let line = String::from_utf8_lossy(&frame);
+        let line = String::from_utf8_lossy(frame);
         let line = line.trim();
         if line.is_empty() {
-            continue;
+            return;
         }
         conn.outstanding += 1;
         let seq = conn.next_dispatch;
@@ -437,7 +464,7 @@ fn dispatch_frames(
             line,
             Box::new(move |response| shared.push(token, seq, response)),
         );
-    }
+    });
 }
 
 /// Flushes queued bytes, recomputes interest (backpressure pause /
@@ -499,6 +526,42 @@ fn pump_conn(
         let token = token_of(slot, conn.gen);
         if poller.modify(conn.stream.as_raw_fd(), token, want).is_ok() {
             conn.interest = want;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Framer;
+
+    /// Feeds `chunks` one read at a time and returns the frames; after
+    /// every read the scan offset has reached the buffer's end, so no
+    /// byte is searched twice.
+    fn feed(chunks: &[&[u8]]) -> Vec<Vec<u8>> {
+        let mut framer = Framer::default();
+        let mut frames = Vec::new();
+        for chunk in chunks {
+            framer.feed(chunk, |frame| frames.push(frame.to_vec()));
+            assert_eq!(framer.scanned, framer.buf.len());
+        }
+        frames
+    }
+
+    #[test]
+    fn a_frame_fed_in_many_chunks_is_scanned_once() {
+        let line = vec![b'x'; 1000];
+        let mut chunks: Vec<&[u8]> = line.chunks(7).collect();
+        chunks.push(b"\n");
+        assert_eq!(feed(&chunks), vec![line.clone()]);
+    }
+
+    #[test]
+    fn frames_split_and_merged_across_reads_reassemble() {
+        let stream = b"{\"a\":1}\n\n{\"b\":2}\n{\"c\":3}\npartial";
+        let expected: Vec<&[u8]> = vec![b"{\"a\":1}", b"", b"{\"b\":2}", b"{\"c\":3}"];
+        for size in 1..stream.len() {
+            let chunks: Vec<&[u8]> = stream.chunks(size).collect();
+            assert_eq!(feed(&chunks), expected, "chunk size {size}");
         }
     }
 }

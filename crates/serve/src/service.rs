@@ -5,11 +5,18 @@
 //! front-end (plus every test) uses the blocking [`Service::handle`]
 //! wrapper. Concurrency model:
 //!
-//! * submission runs on the *calling* thread: the raw request text is
-//!   fingerprinted ([`crate::cache::raw_request_key`]) and looked up in
-//!   a memo of previously-validated requests, so a repeated request is
-//!   answered straight from the result cache without re-parsing either
-//!   graph — the warm hot path does no graph work at all;
+//! * submission runs on the *calling* thread. A **line memo** answers a
+//!   repeated request before any JSON parse: the line's top-level `id`
+//!   string is located by a scan ([`crate::json::split_string_member`])
+//!   and the bytes on either side of it are hashed (SipHash under a
+//!   per-process key). The memo maps that digest to the content key of
+//!   a line that already passed the full parse, the shard check and
+//!   content hashing, so a hit goes straight to the result cache and
+//!   replies with the new line's id — the warm hot path does no graph
+//!   work at all. Only `id` is cut out: a line that differs anywhere
+//!   else misses and takes the full parse once. A later per-request
+//!   field that does not change the answer (a trace id, say) must be
+//!   cut out the same way, or every line carrying it will miss;
 //! * **coalescing**: a miss whose content key already has a solve in
 //!   flight *attaches* to it instead of enqueueing — K identical
 //!   concurrent cold requests cost exactly one solve, and attachees
@@ -58,14 +65,16 @@
 //! 3. **hard bound** — the original queue-full rejection, now with the
 //!    same retry hint.
 
-use crate::cache::{raw_request_key, request_key, LruMap, ResultCache};
-use crate::json::{obj, Json};
+use crate::cache::{request_key, LruMap, ResultCache};
+use crate::json::{self, obj, Json};
 use crate::wire::{
     self, encode_map_report, encode_min_ii_report, ErrorKind, Request, RequestBody, Served,
     WireError,
 };
 use cgra_mapper::{MapperOptions, Session};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -261,13 +270,17 @@ struct Inner {
     next_job: AtomicU64,
     sessions: Mutex<LruMap<Arc<Session>>>,
     results: Mutex<ResultCache>,
-    /// raw-text fingerprint -> content key, populated only after a full
-    /// parse + shard validation — a memo hit is pre-validated.
+    /// Line memo: [`Inner::line_key`] -> content key, written only after
+    /// a full parse + shard validation — a memo hit is pre-validated.
     memo: Mutex<LruMap<u64>>,
+    /// Per-process SipHash key of [`Inner::line_key`].
+    line_hasher: RandomState,
     hooks: Mutex<Vec<Box<dyn Fn() + Send>>>,
     reactor: Arc<ReactorStats>,
     load: LoadTracker,
     requests: AtomicU64,
+    /// Requests answered from the line memo, without a JSON parse.
+    memo_hits: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     rejected: AtomicU64,
@@ -302,6 +315,7 @@ impl Service {
             )),
             sessions: Mutex::new(LruMap::new(config.session_capacity)),
             memo: Mutex::new(LruMap::new(config.result_capacity.max(64))),
+            line_hasher: RandomState::new(),
             config,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
@@ -313,6 +327,7 @@ impl Service {
             reactor: Arc::new(ReactorStats::default()),
             load: LoadTracker::default(),
             requests: AtomicU64::new(0),
+            memo_hits: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -376,6 +391,19 @@ impl Service {
     /// thread once the solve finishes otherwise. `respond` is called
     /// exactly once.
     pub fn handle_async(&self, line: &str, respond: Responder) {
+        let inner = &self.inner;
+        let split = json::split_string_member(line, "id");
+        let line_key = split
+            .as_ref()
+            .map(|(before, _, after)| inner.line_key(before, after));
+        let memoized = line_key.and_then(|k| lock(&inner.memo).get(k));
+        let respond = match (memoized, split) {
+            (Some(key), Some((_, id, _))) => match answer_memoized(inner, key, &id, respond) {
+                Some(respond) => respond,
+                None => return,
+            },
+            _ => respond,
+        };
         let request = match wire::parse_request(line) {
             Ok(r) => r,
             Err(e) => {
@@ -402,7 +430,7 @@ impl Service {
                 ));
             }
             RequestBody::Map { .. } | RequestBody::MinIi { .. } => {
-                submit(&self.inner, request, respond);
+                submit(inner, request, line_key, respond);
             }
         }
     }
@@ -424,11 +452,7 @@ impl Service {
             }
         }
         for w in orphans {
-            (w.respond)(wire::error_response(
-                Some(&w.id),
-                &WireError::new(ErrorKind::ShuttingDown, "service is shutting down")
-                    .with_retry_after(SHUTDOWN_RETRY_MS),
-            ));
+            (w.respond)(wire::error_response(Some(&w.id), &shutting_down()));
         }
         for flag in lock(&self.inner.in_flight).values() {
             flag.store(true, Ordering::SeqCst);
@@ -473,6 +497,7 @@ impl Service {
         let counter = |c: &AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
         obj(vec![
             ("requests", counter(&self.inner.requests)),
+            ("memo_hits", counter(&self.inner.memo_hits)),
             ("cache_hits", counter(&self.inner.cache_hits)),
             ("cache_misses", counter(&self.inner.cache_misses)),
             ("cache_disk_hits", Json::Int(disk_hits as i64)),
@@ -529,6 +554,20 @@ impl Service {
     }
 }
 
+impl Inner {
+    /// The line memo's key: a digest of the request line with its `id`
+    /// token cut out. `before` ends where the token starts, so its
+    /// length pins the cut and two lines share a key only when they
+    /// differ in nothing but the id.
+    fn line_key(&self, before: &str, after: &str) -> u64 {
+        let mut h = self.line_hasher.build_hasher();
+        h.write_usize(before.len());
+        h.write(before.as_bytes());
+        h.write(after.as_bytes());
+        h.finish()
+    }
+}
+
 /// Mutex lock that survives a poisoned worker (a panicked solve must
 /// not wedge the whole service).
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -571,6 +610,30 @@ fn try_fast_path(inner: &Inner, key: u64, id: &str, respond: Responder) -> Optio
 /// for a supervisor restart to land, short enough that clients re-probe
 /// promptly.
 const SHUTDOWN_RETRY_MS: u64 = 1_000;
+
+fn shutting_down() -> WireError {
+    WireError::new(ErrorKind::ShuttingDown, "service is shutting down")
+        .with_retry_after(SHUTDOWN_RETRY_MS)
+}
+
+/// Answers a line the memo knows (content key `key`) without parsing
+/// it: a shutdown refusal, a cache hit or an attach to the in-flight
+/// solve. Returns the responder when the result has left the cache and
+/// nothing is in flight; the caller then takes the full parse, which
+/// counts the request.
+fn answer_memoized(inner: &Inner, key: u64, id: &str, respond: Responder) -> Option<Responder> {
+    if inner.shutdown.load(Ordering::SeqCst) {
+        inner.requests.fetch_add(1, Ordering::Relaxed);
+        respond(wire::error_response(Some(id), &shutting_down()));
+        return None;
+    }
+    let respond = try_fast_path(inner, key, id, respond);
+    if respond.is_none() {
+        inner.requests.fetch_add(1, Ordering::Relaxed);
+        inner.memo_hits.fetch_add(1, Ordering::Relaxed);
+    }
+    respond
+}
 
 /// The cold-lane load gate: decides whether a new leader may take a
 /// queue slot given the current backlog, returning the typed refusal
@@ -630,19 +693,17 @@ fn admit_cold(inner: &Inner, queued: usize, deadline: Option<Duration>) -> Optio
     None
 }
 
-/// Submission: runs on the calling thread (reactor or stdio). Parses at
-/// most once per distinct raw request text, answers cache hits inline,
-/// coalesces onto in-flight solves, and enqueues a leader otherwise.
-fn submit(inner: &Arc<Inner>, request: Request, respond: Responder) {
+/// Submission of a parsed request the line memo did not answer: runs on
+/// the calling thread (reactor or stdio), parses both graphs, records
+/// the line under `line_key` once the request is validated, answers
+/// cache hits inline, coalesces onto in-flight solves, and enqueues a
+/// leader otherwise.
+fn submit(inner: &Arc<Inner>, request: Request, line_key: Option<u64>, respond: Responder) {
     inner.requests.fetch_add(1, Ordering::Relaxed);
     let id = request.id;
     let deadline = request.deadline;
     if inner.shutdown.load(Ordering::SeqCst) {
-        respond(wire::error_response(
-            Some(&id),
-            &WireError::new(ErrorKind::ShuttingDown, "service is shutting down")
-                .with_retry_after(SHUTDOWN_RETRY_MS),
-        ));
+        respond(wire::error_response(Some(&id), &shutting_down()));
         return;
     }
     let (cmd, dfg_text, arch_text, ii, mut options): (&'static str, _, _, _, _) = match request.body
@@ -667,17 +728,6 @@ fn submit(inner: &Arc<Inner>, request: Request, respond: Responder) {
     // what every cache key sees.
     if let Some(ceiling) = inner.config.deadline {
         options.time_limit = Some(options.time_limit.map_or(ceiling, |t| t.min(ceiling)));
-    }
-
-    // Hot path: a previously-validated raw text skips parsing entirely.
-    let raw = raw_request_key(cmd, &dfg_text, &arch_text, ii, &options);
-    let memo_key = lock(&inner.memo).get(raw);
-    let mut respond = respond;
-    if let Some(key) = memo_key {
-        respond = match try_fast_path(inner, key, &id, respond) {
-            Some(r) => r,
-            None => return,
-        };
     }
 
     let dfg = match cgra_dfg::text::parse(&dfg_text) {
@@ -722,15 +772,12 @@ fn submit(inner: &Arc<Inner>, request: Request, respond: Responder) {
 
     let key = request_key(cmd, dfg_hash, arch_hash, ii, &options);
     // Only a validated, correctly-sharded request earns a memo entry.
-    lock(&inner.memo).insert(raw, key);
-    if memo_key != Some(key) {
-        // The memo did not cover this text: the cache/attach check has
-        // not happened yet for this request.
-        respond = match try_fast_path(inner, key, &id, respond) {
-            Some(r) => r,
-            None => return,
-        };
+    if let Some(line_key) = line_key {
+        lock(&inner.memo).insert(line_key, key);
     }
+    let Some(respond) = try_fast_path(inner, key, &id, respond) else {
+        return;
+    };
 
     let session = {
         let mut sessions = lock(&inner.sessions);
@@ -763,11 +810,7 @@ fn submit(inner: &Arc<Inner>, request: Request, respond: Responder) {
         if inner.shutdown.load(Ordering::SeqCst) {
             drop(queue);
             drop(pending);
-            (waiter.respond)(wire::error_response(
-                Some(&waiter.id),
-                &WireError::new(ErrorKind::ShuttingDown, "service is shutting down")
-                    .with_retry_after(SHUTDOWN_RETRY_MS),
-            ));
+            (waiter.respond)(wire::error_response(Some(&waiter.id), &shutting_down()));
             return;
         }
         // Cold-lane load gate (warm traffic never reaches this point —

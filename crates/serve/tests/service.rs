@@ -662,3 +662,157 @@ fn shutdown_refusals_carry_retry_hint() {
     assert_eq!(err.retry_after_ms, Some(1_000));
     service.join_workers();
 }
+
+fn memo_hits(service: &Service) -> u64 {
+    service
+        .stats_json()
+        .get("memo_hits")
+        .and_then(Json::as_u64)
+        .expect("stats carry memo_hits")
+}
+
+/// The `id` the full parser reads off a line (first match wins).
+fn parsed_id(line: &str) -> Option<String> {
+    Json::parse(line)
+        .ok()?
+        .get("id")
+        .and_then(Json::as_str)
+        .map(str::to_owned)
+}
+
+/// The line memo against the full parse. Once a line is solved, lines
+/// that differ from it only in the `id` token are answered from the
+/// memo with the solved result bytes and the id the parser would read;
+/// every other line takes the full parse and gets its reply or typed
+/// error from it.
+#[test]
+fn line_memo_answers_like_the_full_parse() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let body = format!(
+        "\"cmd\":\"map\",\"dfg\":{},\"arch\":{},\"ii\":1",
+        cgra_serve::json::s(kernel_text("accum")),
+        cgra_serve::json::s(homo_diag_arch_text()),
+    );
+    let rest = format!("{body},\"options\":{}", options_json());
+    let hot = |id: &str| format!("{{\"id\":{id},{rest}}}");
+    let solved = cgra_serve::client::decode_response(&service.handle(&hot("\"hot\""))).unwrap();
+    assert!(!solved.served.unwrap().cache_hit);
+
+    // A layout is the text before and after the id token. Each is asked
+    // with three ids, spliced in as raw JSON; a layout the memo has not
+    // seen misses once, then hits.
+    let inner_id =
+        format!("{body},\"options\":{{\"id\":\"inner\",\"time_limit_us\":60000000,\"threads\":1}}");
+    let layouts = [
+        ("id first", "{\"id\":".to_owned(), format!(",{rest}}}"), 3),
+        ("id last", format!("{{{rest},\"id\":"), "}".to_owned(), 2),
+        (
+            "id after an options object with its own id",
+            format!("{{{inner_id},\"id\":"),
+            "}".to_owned(),
+            2,
+        ),
+        (
+            "duplicate id",
+            "{\"id\":".to_owned(),
+            format!(",{rest},\"id\":\"dup\"}}"),
+            2,
+        ),
+        (
+            "whitespace",
+            " { \"id\" :\t".to_owned(),
+            format!(" ,\n{rest} }} "),
+            2,
+        ),
+        (
+            "escaped key",
+            "{\"\\u0069d\":".to_owned(),
+            format!(",{rest}}}"),
+            0,
+        ),
+    ];
+    let ids = [
+        "\"v1\"",
+        "\"\\u0076\\u00e9\\ud83d\\ude00\"",
+        "\"r\u{e9}-\u{1F600}\"",
+    ];
+    for (name, head, tail, expected_hits) in &layouts {
+        let before = memo_hits(&service);
+        for id in ids {
+            let line = format!("{head}{id}{tail}");
+            let reply = cgra_serve::client::decode_response(&service.handle(&line))
+                .unwrap_or_else(|e| panic!("{name} {id}: {e}"));
+            assert_eq!(Some(reply.id), parsed_id(&line), "{name} {id}");
+            assert_eq!(reply.result_text, solved.result_text, "{name} {id}");
+            assert!(reply.served.unwrap().cache_hit, "{name} {id}");
+        }
+        assert_eq!(memo_hits(&service) - before, *expected_hits, "{name}");
+    }
+
+    // A broken id is the full parse's business: same typed error.
+    let before = memo_hits(&service);
+    for line in [hot("7"), hot("\"v1"), hot("\"v\u{1}1\"")] {
+        let expected = cgra_serve::wire::parse_request(&line).unwrap_err().kind;
+        let error = cgra_serve::client::decode_response(&service.handle(&line))
+            .expect_err("a broken id must fail");
+        assert_eq!(error.kind, expected, "{line:.40}");
+    }
+    assert_eq!(memo_hits(&service), before);
+
+    // Shutdown is checked before the memo answers.
+    service.initiate_shutdown();
+    let raw = service.handle(&hot("\"late\""));
+    let error = cgra_serve::client::decode_response(&raw).expect_err("refused after shutdown");
+    assert_eq!(error.kind, ErrorKind::ShuttingDown);
+    assert_eq!(parsed_id(&raw).as_deref(), Some("late"));
+    service.join_workers();
+}
+
+/// A memoized line whose result has left the cache (one in-memory
+/// entry, no `cache_dir`) is solved again, to the same result up to its
+/// wall-clock fields.
+#[test]
+fn line_memo_hit_after_eviction_resolves() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        result_capacity: 1,
+        ..ServiceConfig::default()
+    });
+    let line = |id: &str, kernel: &str| {
+        format!(
+            "{{\"id\":\"{id}\",\"cmd\":\"map\",\"dfg\":{},\"arch\":{},\"ii\":1,\"options\":{}}}",
+            cgra_serve::json::s(kernel_text(kernel)),
+            cgra_serve::json::s(homo_diag_arch_text()),
+            options_json(),
+        )
+    };
+    let solve = |id: &str, kernel: &str| {
+        cgra_serve::client::decode_response(&service.handle(&line(id, kernel))).unwrap()
+    };
+    let first = solve("a", "accum");
+    solve("b", "mac"); // evicts accum's result
+    let again = solve("c", "accum");
+    assert_eq!(again.id, "c");
+    assert!(
+        !again.served.unwrap().cache_hit,
+        "the evicted result is solved again"
+    );
+    assert_eq!(memo_hits(&service), 0);
+    let normalized = |text: &str| {
+        let mut doc = Json::parse(text).unwrap();
+        normalize_times(&mut doc);
+        doc.to_string()
+    };
+    assert_eq!(
+        normalized(&again.result_text),
+        normalized(&first.result_text)
+    );
+    let stats = service.stats_json();
+    assert_eq!(stats.get("solves").and_then(Json::as_u64), Some(3));
+    assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(3));
+    service.initiate_shutdown();
+    service.join_workers();
+}

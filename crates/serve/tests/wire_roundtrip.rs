@@ -369,10 +369,7 @@ fn retired_incremental_option_is_ignored() {
         };
         let dfg_hash = cgra_dfg::text::parse(&dfg).expect("dfg").content_hash();
         let arch_hash = cgra_arch::text::parse(&arch).expect("arch").content_hash();
-        (
-            cgra_serve::cache::request_key("map", dfg_hash, arch_hash, ii, &options),
-            cgra_serve::cache::raw_request_key("map", &dfg, &arch, ii, &options),
-        )
+        cgra_serve::cache::request_key("map", dfg_hash, arch_hash, ii, &options)
     };
     for retired in [
         ",\"incremental\":false",
